@@ -4,9 +4,9 @@ approximation experiments for groups inside products of SL2."""
 from .exactalg import (ExactMatrix, FieldElement, NumberField, QQ, Rational,
                        companion_embed, rank_exact)
 from .groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
-                        IDENTITY_WORD, Word, evaluate, free_reduce, word_from_string)
+                        IDENTITY_WORD, Word, free_reduce, word_from_string)
 from .repweights import (ParityError, RepAssignment, WeightVector,
-                         central_character_value, sym_power, weight_dim, weight_rep)
+                         central_character_value, evaluate, sym_power, weight_dim, weight_rep)
 from .foxhomology import (HomologyReport, boundary_stack, fox_derivative, fox_jacobian,
                           homology_dims, invariants_dim, presentation_complex)
 from .rankfun import (FiniteAlgebraMatrix, FiniteQuotientMap, RankValue,

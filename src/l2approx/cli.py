@@ -27,6 +27,7 @@ from . import census, foxhomology, limitlab, padicharris, rankfun
 from .exactalg import StructuralError
 from .groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
                         IDENTITY_WORD, free_reduce, word_from_string)
+from .limitlab import _dec
 from .repweights import ParityError, weight_dim
 
 MODES = ("homology", "rank", "limit", "luck", "harris")
@@ -170,10 +171,6 @@ def _fmt_lambda(lam: Sequence[int]) -> str:
     return "x".join(str(v) for v in lam)
 
 
-def _dec(x) -> str:
-    return f"{float(x):.12g}"
-
-
 def _frac_cols(v: Fraction) -> tuple[str, str, str]:
     v = Fraction(v)
     return str(v.numerator), str(v.denominator), _dec(v)
@@ -268,8 +265,10 @@ def _build_matrix(cfg: ExperimentConfig, entry: census.CensusEntry) -> GroupAlge
     if source == "random":
         if cfg.seed is None:
             raise ConfigError("matrix source 'random' needs an explicit --seed")
-        return random_matrix(names, entry.field, cfg.rows or 2, cfg.cols or 2,
-                             cfg.word_len or 4, cfg.seed)
+        return random_matrix(names, entry.field,
+                             2 if cfg.rows is None else cfg.rows,
+                             2 if cfg.cols is None else cfg.cols,
+                             4 if cfg.word_len is None else cfg.word_len, cfg.seed)
     raise ConfigError(f"unknown matrix source {source!r}")
 
 
@@ -301,6 +300,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[str, str]:
     """Execute one experiment; returns (csv_text, summary_text)."""
     if cfg.mode not in MODES:
         raise ConfigError(f"--mode must be one of {', '.join(MODES)}")
+    for flag, value, least in (("--rows", cfg.rows, 1), ("--cols", cfg.cols, 1),
+                               ("--word-len", cfg.word_len, 0)):
+        if value is not None and value < least:
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
     if cfg.mode == "homology":
         return _run_homology(cfg)
     if cfg.mode == "rank":
@@ -434,7 +437,8 @@ def _run_harris(cfg: ExperimentConfig) -> tuple[str, str]:
         from .exactalg import ExactMatrix, QQ
         images = [[ExactMatrix.from_rows(QQ, [[1, p], [0, 1]])],
                   [ExactMatrix.from_rows(QQ, [[1, 0], [p, 1]])]]
-        a = random_matrix(pres.generator_names, QQ, 1, 1, cfg.word_len or 3, cfg.seed)
+        a = random_matrix(pres.generator_names, QQ, 1, 1,
+                          3 if cfg.word_len is None else cfg.word_len, cfg.seed)
         label = f"random short-support element (seed {cfg.seed})"
     if cfg.target:
         target = Fraction(cfg.target)
@@ -473,6 +477,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         kind = type(e).__name__
         print(f"error: {kind}: {e}", file=sys.stderr)
         return 2
+    except foxhomology.InvariantError as e:
+        print(f"error: InvariantError: {e}", file=sys.stderr)
+        return 3
     if cfg.out:
         out = Path(cfg.out)
         out.write_text(csv_text)

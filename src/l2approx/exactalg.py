@@ -2,8 +2,9 @@
 
 Everything here is exact: coefficients are `fractions.Fraction`, elements of
 Q(alpha) are polynomials in alpha reduced modulo a monic minimal polynomial,
-and ranks come from fraction-free elimination.  No floating point is used on
-any rank path.
+and ranks come from fraction-free elimination on integer rows after embedding
+into Q.  Nothing divides in Q(alpha), and no floating point is used on any
+rank path.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ class StructuralError(ValueError):
 
 class FieldMismatchError(StructuralError):
     """Entries or operands built over different number fields."""
-
-
-class SingularMatrixError(ValueError):
-    """Inversion requested for a singular matrix."""
 
 
 def as_fraction(x) -> Fraction:
@@ -150,21 +147,6 @@ class FieldElement:
                         conv[i + j] += ai * bj
         return FieldElement(self.field, self.field._reduce(conv))
 
-    def scale(self, q: Fraction) -> "FieldElement":
-        return FieldElement(self.field, tuple(c * q for c in self.coeffs))
-
-    def inverse(self) -> "FieldElement":
-        if not self:
-            raise ZeroDivisionError("inverse of zero field element")
-        d = self.field.degree
-        if d == 1:
-            return FieldElement(self.field, (Fraction(1) / self.coeffs[0],))
-        u = _poly_invert_mod(list(self.coeffs), list(self.field.minpoly))
-        return FieldElement(self.field, self.field._reduce(u))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self * other.inverse()
-
     def rational_value(self) -> Fraction:
         if any(self.coeffs[1:]):
             raise StructuralError("field element is not rational")
@@ -183,62 +165,6 @@ class FieldElement:
                 var = "a" if k == 1 else f"a^{k}"
                 parts.append(f"{c}*{var}" if c != 1 else var)
         return " + ".join(parts)
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    inv_lead = Fraction(1) / den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        coef = num[k + len(den) - 1] * inv_lead
-        if coef:
-            q[k] = coef
-            for j, dj in enumerate(den):
-                num[k + j] -= coef * dj
-    return q, _poly_trim(num)
-
-
-def _poly_invert_mod(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """Extended Euclid in Q[x]: return u with u*a = 1 (mod `mod`)."""
-    r0, r1 = list(mod), _poly_trim(list(a))
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while len(r1) > 1 or (r1 and r1[0]):
-        if len(r1) == 1:
-            break
-        q, r = _poly_divmod(r0, r1)
-        s = _poly_sub(s0, _poly_mul(q, s1))
-        r0, r1, s0, s1 = r1, r, s1, s
-    if not r1:
-        raise ZeroDivisionError("element not invertible (minpoly not irreducible?)")
-    c = r1[0]
-    return [x / c for x in s1]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
 
 
 @dataclass(frozen=True)
@@ -282,9 +208,6 @@ class ExactMatrix:
 
     def entry(self, i: int, j: int) -> FieldElement:
         return self.entries[i * self.cols + j]
-
-    def row_list(self) -> list[list[FieldElement]]:
-        return [list(self.entries[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -347,25 +270,6 @@ class ExactMatrix:
                         flat[base + l] = a * other.entry(k, l)
         return ExactMatrix(self.field, r, c, tuple(flat))
 
-    def inverse(self) -> "ExactMatrix":
-        if self.rows != self.cols:
-            raise StructuralError("only square matrices can be inverted")
-        n = self.rows
-        aug = [list(self.entries[i * n:(i + 1) * n]) + [self.field.one if j == i else self.field.zero
-                                                        for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if aug[i][col]), None)
-            if piv is None:
-                raise SingularMatrixError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv_p = aug[col][col].inverse()
-            aug[col] = [inv_p * v for v in aug[col]]
-            for i in range(n):
-                if i != col and aug[i][col]:
-                    f = aug[i][col]
-                    aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-        return ExactMatrix(self.field, n, n, tuple(aug[i][n + j] for i in range(n) for j in range(n)))
-
 
 def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     field, rows = mats[0].field, mats[0].rows
@@ -405,70 +309,6 @@ def block_diag(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     return ExactMatrix(field, rows, cols, tuple(v for row in out for v in row))
 
 
-def _strip_row_content(row: list[FieldElement]) -> None:
-    """Rescale a row by a positive rational so coefficients are coprime integers.
-
-    Row scaling never changes rank; this keeps Fraction sizes bounded during
-    elimination.
-    """
-    num_gcd = 0
-    den_lcm = 1
-    for e in row:
-        for c in e.coeffs:
-            if c:
-                num_gcd = math.gcd(num_gcd, abs(c.numerator))
-                den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    if num_gcd == 0 or (num_gcd == 1 and den_lcm == 1):
-        return
-    scale = Fraction(den_lcm, num_gcd)
-    for k, e in enumerate(row):
-        row[k] = e.scale(scale)
-
-
-def rank_exact(m: ExactMatrix) -> int:
-    """Exact rank by fraction-free (Bareiss-style) elimination.
-
-    Entries are reduced modulo the field's minimal polynomial after every
-    multiplication; each updated row is stripped of rational content.
-    Deterministic: pivots are chosen first-nonzero in column order.
-    """
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    a = m.row_list()
-    for row in a:
-        _strip_row_content(row)
-    rows, cols = m.rows, m.cols
-    rank = 0
-    prev_inv = None  # inverse of previous pivot (None means pivot 1)
-    for col in range(cols):
-        piv = next((i for i in range(rank, rows) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pivot_row = a[rank]
-        pivot = pivot_row[col]
-        for i in range(rank + 1, rows):
-            row = a[i]
-            aic = row[col]
-            if not aic:
-                continue
-            # Bareiss update: (pivot*row - aic*pivot_row) / previous pivot
-            for j in range(col + 1, cols):
-                v = pivot * row[j] - aic * pivot_row[j]
-                if prev_inv is not None and v:
-                    v = v * prev_inv
-                row[j] = v
-            row[col] = m.field.zero
-            _strip_row_content(row)
-        # content stripping destroys strict Bareiss divisibility bookkeeping,
-        # but over a field the division stays exact regardless
-        prev_inv = pivot.inverse()
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def companion_embed(m: ExactMatrix) -> ExactMatrix:
     """Replace each Q(alpha) entry by its d x d multiplication matrix over Q.
 
@@ -493,3 +333,49 @@ def companion_embed(m: ExactMatrix) -> ExactMatrix:
                 if k < d - 1:
                     cur = cur * gen
     return ExactMatrix(QQ, m.rows * d, m.cols * d, tuple(flat))
+
+
+def _integer_row(entries: Sequence[FieldElement]) -> list[int]:
+    """Rational entries scaled by the lcm of their denominators."""
+    values = [e.coeffs[0] for e in entries]
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def rank_exact(m: ExactMatrix) -> int:
+    """Exact rank by fraction-free elimination on Python integer rows.
+
+    Entries over Q(alpha) are first replaced by their multiplication matrices
+    over Q, which multiplies the rank by the field degree.  A row with a
+    nonzero c in the pivot column becomes (p/g)*row - (c/g)*pivot_row, where
+    p is the pivot and g = gcd(p, c), and is then divided by the gcd of its
+    entries; rows with a zero there are left untouched, which keeps sparse
+    matrices cheap.  Deterministic: pivots are chosen first-nonzero in column
+    order.
+    """
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    q = companion_embed(m)
+    a = [_integer_row(q.entries[i * q.cols:(i + 1) * q.cols]) for i in range(q.rows)]
+    rows = len(a)
+    rank = 0
+    for col in range(q.cols):
+        piv = next((i for i in range(rank, rows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pivot_row = a[rank]
+        p = pivot_row[col]
+        for i in range(rank + 1, rows):
+            c = a[i][col]
+            if not c:
+                continue
+            g = math.gcd(p, c)
+            s, t = p // g, c // g
+            row = [s * x - t * y for x, y in zip(a[i], pivot_row)]
+            content = math.gcd(*row)
+            a[i] = [x // content for x in row] if content > 1 else row
+        rank += 1
+        if rank == rows:
+            break
+    return rank // m.field.degree

@@ -22,8 +22,14 @@ from typing import Sequence
 
 from .exactalg import ExactMatrix, rank_exact, vstack
 from .groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
-                        IDENTITY_WORD, Word, evaluate)
-from .repweights import RepAssignment, WeightVector, validate_weight, weight_dim
+                        IDENTITY_WORD, Word)
+from .repweights import (RepAssignment, WeightVector, evaluate, sl2_inverse, validate_weight,
+                         weight_dim, weight_rep)
+
+
+class InvariantError(RuntimeError):
+    """A runtime identity of the complex failed: an internal inconsistency,
+    not bad input."""
 
 
 def fox_derivative(w: Word, j: int, field) -> GroupAlgebraElement:
@@ -78,7 +84,7 @@ def check_fox_identity(p: GroupPresentation, field) -> None:
             acc = acc + fox_derivative(rel, j, field) * xj_minus_1
         rhs = GroupAlgebraElement.from_dict(field, {rel: 1, IDENTITY_WORD: -1})
         if acc != rhs:
-            raise AssertionError(f"fundamental Fox identity fails for relator {rel!r}")
+            raise InvariantError(f"fundamental Fox identity fails for relator {rel!r}")
 
 
 def presentation_complex(p: GroupPresentation, rep: RepAssignment,
@@ -95,11 +101,11 @@ def presentation_complex(p: GroupPresentation, rep: RepAssignment,
     D = vstack([img - ident for img in images])
     jac = fox_jacobian(p, field)
     if p.num_relators:
-        J = evaluate(jac, images)
+        J = evaluate(jac, rep, lam)
     else:
         J = ExactMatrix(field, 0, p.num_generators * d, ())
     if p.num_relators and not (J * D).is_zero():
-        raise AssertionError("composite J*D is nonzero; presentation and images disagree")
+        raise InvariantError("composite J*D is nonzero; presentation and images disagree")
     return J, D
 
 
@@ -134,9 +140,9 @@ def homology_dims(p: GroupPresentation, rep: RepAssignment, lam: Sequence[int],
     h1 = g * d - rank_d - rank_j
     h2 = r * d - rank_j
     if h0 - h1 + h2 != d * (1 - g + r):
-        raise AssertionError("Euler identity violated (rank computation inconsistent)")
+        raise InvariantError("Euler identity violated (rank computation inconsistent)")
     if min(h0, h1, h2) < 0:
-        raise AssertionError("negative homology dimension (rank computation inconsistent)")
+        raise InvariantError("negative homology dimension (rank computation inconsistent)")
     return HomologyReport(lam, d, h0, h1, h2, rank_j, rank_d, aspherical)
 
 
@@ -158,9 +164,10 @@ def coinvariants_dim(rep: RepAssignment, lam: Sequence[int]) -> int:
     the transposed/dual action independently of homology_dims."""
     lam = validate_weight(lam)
     d = weight_dim(lam)
-    images = rep.weight_images(lam)
-    if not images:
+    if not rep.images:
         return d
     ident = ExactMatrix.identity(rep.field, d)
-    dual_blocks = [img.inverse().transpose() - ident for img in images]
+    # the inverse image lifts from the SL2 adjugate
+    dual_blocks = [weight_rep([sl2_inverse(g) for g in tup], lam).transpose() - ident
+                   for tup in rep.images]
     return d - rank_exact(vstack(dual_blocks))

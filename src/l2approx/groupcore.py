@@ -2,7 +2,7 @@
 
 Group elements are freely reduced words; no word-problem solving happens
 anywhere.  Equality of group elements is never needed by a rank computation,
-only their images under a matrix representation.
+only their images under a matrix representation (`repweights.evaluate`).
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .exactalg import (ExactMatrix, FieldElement, FieldMismatchError, NumberField,
-                       StructuralError, as_fraction)
+from .exactalg import (FieldElement, FieldMismatchError, NumberField, StructuralError,
+                       as_fraction)
 
 Letter = tuple[int, int]  # (generator index, exponent +1 or -1)
 
@@ -314,91 +314,3 @@ def ga_block_triangular(a: GroupAlgebraMatrix, c: GroupAlgebraMatrix, b: GroupAl
     for i in range(b.rows):
         rows.append([z] * a.cols + [b.entry(i, j) for j in range(b.cols)])
     return GroupAlgebraMatrix.from_rows(a.field, rows)
-
-
-class _ImageCache:
-    """Word-image evaluator for a fixed tuple of generator images."""
-
-    def __init__(self, images: Sequence[ExactMatrix]):
-        if not images:
-            raise StructuralError("at least one generator image required")
-        self.field = images[0].field
-        d = images[0].rows
-        for m in images:
-            if m.field != self.field:
-                raise FieldMismatchError("generator images over different fields")
-            if m.rows != m.cols or m.rows != d:
-                raise StructuralError("generator images must be square of equal size")
-        self.dim = d
-        self.images = list(images)
-        self._inverses: dict[int, ExactMatrix] = {}
-        self._cache: dict[Word, ExactMatrix] = {IDENTITY_WORD: ExactMatrix.identity(self.field, d)}
-
-    def _gen_image(self, idx: int, exp: int) -> ExactMatrix:
-        if idx >= len(self.images):
-            raise StructuralError("word references a generator with no declared image")
-        if exp == 1:
-            return self.images[idx]
-        if idx not in self._inverses:
-            try:
-                self._inverses[idx] = self.images[idx].inverse()
-            except Exception as e:
-                raise StructuralError(f"generator image {idx} is not invertible") from e
-        return self._inverses[idx]
-
-    def word(self, w: Word) -> ExactMatrix:
-        hit = self._cache.get(w)
-        if hit is not None:
-            return hit
-        # extend the longest cached prefix (prefixes of reduced words are reduced)
-        letters = w.letters
-        out = self._cache[IDENTITY_WORD]
-        done = 0
-        for k in range(len(letters) - 1, 0, -1):
-            cached = self._cache.get(Word(letters[:k]))
-            if cached is not None:
-                out = cached
-                done = k
-                break
-        for k in range(done, len(letters)):
-            idx, exp = letters[k]
-            out = out * self._gen_image(idx, exp)
-            self._cache[Word(letters[: k + 1])] = out
-        return out
-
-
-def evaluate(x: Union[GroupAlgebraElement, GroupAlgebraMatrix],
-             images: Sequence[ExactMatrix]) -> ExactMatrix:
-    """Extend generator images to a ring homomorphism on the group algebra.
-
-    For a matrix input, returns the (rows*d) x (cols*d) block matrix where d
-    is the common size of the generator images.  Images must be invertible
-    square matrices over the element's field.
-    """
-    cache = _ImageCache(images)
-    if isinstance(x, GroupAlgebraElement):
-        return _evaluate_element(x, cache)
-    if isinstance(x, GroupAlgebraMatrix):
-        if x.field != cache.field:
-            raise FieldMismatchError("matrix field differs from image field")
-        d = cache.dim
-        blocks = [[_evaluate_element(x.entry(i, j), cache) for j in range(x.cols)]
-                  for i in range(x.rows)]
-        flat = []
-        for i in range(x.rows):
-            for bi in range(d):
-                for j in range(x.cols):
-                    blk = blocks[i][j]
-                    flat.extend(blk.entries[bi * d:(bi + 1) * d])
-        return ExactMatrix(cache.field, x.rows * d, x.cols * d, tuple(flat))
-    raise StructuralError(f"cannot evaluate object of type {type(x).__name__}")
-
-
-def _evaluate_element(x: GroupAlgebraElement, cache: _ImageCache) -> ExactMatrix:
-    if x.field != cache.field:
-        raise FieldMismatchError("element field differs from image field")
-    d = cache.dim
-    out = ExactMatrix.zeros(cache.field, d, d)
-    for w, c in x.terms:
-        out = out + cache.word(w).scalar_mul(c)
-    return out

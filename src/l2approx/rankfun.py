@@ -23,8 +23,8 @@ from typing import Hashable, Iterable, Mapping, Optional, Protocol, Sequence
 
 from .exactalg import (ExactMatrix, FieldElement, NumberField, QQ, StructuralError,
                        as_fraction, rank_exact)
-from .groupcore import GroupAlgebraMatrix, GroupPresentation, Word, evaluate
-from .repweights import RepAssignment, weight_dim
+from .groupcore import GroupAlgebraMatrix, GroupPresentation, Word
+from .repweights import RepAssignment, evaluate, weight_dim
 
 RankValue = Fraction
 
@@ -42,7 +42,12 @@ def memory_cap(override: Optional[int] = None) -> int:
     if override is not None:
         return override
     env = os.environ.get(_MEMORY_CAP_ENV)
-    return int(env) if env else DEFAULT_MEMORY_CAP
+    if not env:
+        return DEFAULT_MEMORY_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{_MEMORY_CAP_ENV} must be an integer, got {env!r}") from None
 
 
 class GroupOps(Protocol):
@@ -468,7 +473,7 @@ def sylvester_rank(a: GroupAlgebraMatrix, rep: RepAssignment, lam: Sequence[int]
     d = weight_dim(lam)
     if a.rows == 0 or a.cols == 0:
         return Fraction(0)
-    mat = evaluate(a, rep.weight_images(lam))
+    mat = evaluate(a, rep, lam)
     return Fraction(rank_exact(mat), d)
 
 

@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .exactalg import ExactMatrix, FieldElement, NumberField, StructuralError
-from .groupcore import GroupPresentation, Word
+from .exactalg import (ExactMatrix, FieldElement, FieldMismatchError, NumberField,
+                       StructuralError)
+from .groupcore import GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation, Word
 
 WeightVector = tuple[int, ...]
 
@@ -179,7 +180,7 @@ class RepAssignment:
         for rk, rel in enumerate(presentation.relators):
             row = []
             for fj in range(n):
-                m = _word_image_2x2([tup[fj] for tup in images], rel)
+                m = _word_image_2x2([tup[fj] for tup in images], rel, field)
                 if m == ident:
                     row.append(1)
                 elif m == -ident:
@@ -242,21 +243,55 @@ class RepAssignment:
         return [weight_rep(tup, lam) for tup in self.images]
 
 
-def _word_image_2x2(factor_images: Sequence[ExactMatrix], w: Word) -> ExactMatrix:
-    field = factor_images[0].field
+def sl2_inverse(g: ExactMatrix) -> ExactMatrix:
+    """Inverse of a determinant-one 2x2 matrix: its adjugate."""
+    return ExactMatrix.from_rows(g.field, [[g.entry(1, 1), -g.entry(0, 1)],
+                                           [-g.entry(1, 0), g.entry(0, 0)]])
+
+
+def _word_image_2x2(factor_images: Sequence[ExactMatrix], w: Word,
+                    field: NumberField) -> ExactMatrix:
     out = ExactMatrix.identity(field, 2)
-    invs: dict[int, ExactMatrix] = {}
     for idx, exp in w.letters:
         if idx >= len(factor_images):
             raise StructuralError("word references a generator with no image")
-        if exp == 1:
-            out = out * factor_images[idx]
-        else:
-            if idx not in invs:
-                g = factor_images[idx]
-                # SL2 inverse is the adjugate
-                invs[idx] = ExactMatrix.from_rows(field, [
-                    [g.entry(1, 1), -g.entry(0, 1)],
-                    [-g.entry(1, 0), g.entry(0, 0)]])
-            out = out * invs[idx]
+        g = factor_images[idx]
+        out = out * (g if exp == 1 else sl2_inverse(g))
     return out
+
+
+def evaluate(a: Union[GroupAlgebraElement, GroupAlgebraMatrix], rep: RepAssignment,
+             lam: Sequence[int]) -> ExactMatrix:
+    """Image of a group-algebra element or matrix on the weight module of `lam`.
+
+    Sym^lam and the Kronecker product are homomorphisms, so each support word
+    is multiplied out as a 2x2 matrix per factor and lifted to the weight
+    module once.  A matrix becomes the (rows*d) x (cols*d) block matrix with
+    d = dim W; an element becomes a d x d matrix.  No parity gate here.
+    """
+    lam = validate_weight(lam)
+    if isinstance(a, GroupAlgebraElement):
+        a = GroupAlgebraMatrix.single(a)
+    if not isinstance(a, GroupAlgebraMatrix):
+        raise StructuralError(f"cannot evaluate object of type {type(a).__name__}")
+    if a.field != rep.field:
+        raise FieldMismatchError("matrix field differs from representation field")
+    if len(lam) != rep.n:
+        raise StructuralError(f"weight has {len(lam)} entries for {rep.n} factors")
+    factors = [[tup[j] for tup in rep.images] for j in range(rep.n)]
+    lifted = {w: weight_rep([_word_image_2x2(f, w, rep.field) for f in factors], lam).entries
+              for w in a.support()}
+    d = weight_dim(lam)
+    out_cols = a.cols * d
+    flat = [rep.field.zero] * (a.rows * d * out_cols)
+    for i in range(a.rows):
+        for j in range(a.cols):
+            for w, c in a.entry(i, j).terms:
+                img = lifted[w]
+                for bi in range(d):
+                    base = (i * d + bi) * out_cols + j * d
+                    for bj in range(d):
+                        v = img[bi * d + bj]
+                        if v:
+                            flat[base + bj] = flat[base + bj] + c * v
+    return ExactMatrix(rep.field, a.rows * d, out_cols, tuple(flat))

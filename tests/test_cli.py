@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from l2approx import cli, foxhomology
 from l2approx.cli import (CSV_HEADER, config_from_args, main, parse_config_file,
                           parse_matrix_file, random_matrix)
 from l2approx.exactalg import QQ
@@ -146,6 +147,55 @@ class TestErrors:
         rc = main(["--mode", "harris", "--p", "2", "--levels", "1:2",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+
+    @pytest.mark.parametrize("flag, value", [("--rows", "0"), ("--cols", "0"),
+                                             ("--rows", "-2"), ("--word-len", "-1")])
+    def test_bad_matrix_sizes_rejected(self, tmp_path, capsys, flag, value):
+        rc = main(["--mode", "rank", "--entry", "sanov-f2", "--weights", "1:2",
+                   "--matrix", "random", "--seed", "7", flag, value,
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigError: {flag} must be at least")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("args, default_len", [
+        (["--mode", "rank", "--entry", "sanov-f2", "--weights", "1:2", "--matrix", "random"], 4),
+        (["--mode", "harris", "--p", "3", "--levels", "1:2", "--element", "random"], 3)])
+    def test_word_len_zero_is_not_replaced_by_the_default(self, tmp_path, monkeypatch,
+                                                          args, default_len):
+        lengths = []
+
+        def recording(names, field, rows, cols, word_len, seed):
+            lengths.append(word_len)
+            return random_matrix(names, field, rows, cols, word_len, seed)
+
+        monkeypatch.setattr(cli, "random_matrix", recording)
+        base = args + ["--seed", "5", "--out", str(tmp_path / "x.csv")]
+        assert main(base) == 0
+        assert main(base + ["--word-len", "0"]) == 0
+        assert lengths == [default_len, 0]
+
+    def test_bad_memory_cap_names_the_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("L2APPROX_MEMORY_CAP", "abc")
+        rc = main(["--mode", "luck", "--entry", "z-unipotent", "--quotients", "2",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.strip() == ("error: ValueError: L2APPROX_MEMORY_CAP must be an integer, "
+                               "got 'abc'")
+
+    def test_invariant_failure_is_one_line_with_its_own_code(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # a rank larger than the matrix drives a homology dimension negative
+        monkeypatch.setattr(foxhomology, "rank_exact", lambda m: m.rows + m.cols)
+        rc = main(["--mode", "homology", "--entry", "figure-eight", "--weights", "2:2",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvariantError: negative homology dimension")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestMatrixSources:

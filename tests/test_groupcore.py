@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from l2approx.exactalg import (ExactMatrix, FieldMismatchError, NumberField, QQ,
                                StructuralError, block_diag)
 from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix,
-                                GroupPresentation, IDENTITY_WORD, Word, evaluate,
-                                free_reduce, ga_block_diag, word_from_string,
-                                word_to_string)
+                                GroupPresentation, IDENTITY_WORD, Word, free_reduce,
+                                ga_block_diag, word_from_string, word_to_string)
+from l2approx.repweights import RepAssignment, evaluate
 
-from oracles import gauss_rank, rational_rows
+from oracles import rational_rows
 
 letters = st.lists(st.tuples(st.integers(min_value=0, max_value=2),
                              st.sampled_from((1, -1))), max_size=12)
@@ -97,39 +97,28 @@ class TestAlgebra:
             assert x.star().star() == x
 
 
-def sanov_images():
-    a = ExactMatrix.from_rows(QQ, [[1, 2], [0, 1]])
-    b = ExactMatrix.from_rows(QQ, [[1, 0], [2, 1]])
-    return [a, b]
+def sanov_rep():
+    pres = GroupPresentation(("a", "b"), ())
+    return RepAssignment.build(pres, [[ExactMatrix.from_rows(QQ, [[1, 2], [0, 1]])],
+                                      [ExactMatrix.from_rows(QQ, [[1, 0], [2, 1]])]])
 
 
 class TestEvaluate:
-    def test_augmentation_kills_x_minus_one(self):
-        x = GroupAlgebraElement.from_dict(QQ, {Word(((0, 1),)): 2, IDENTITY_WORD: -2})
-        out = evaluate(x, [ExactMatrix.from_rows(QQ, [[1]])])
-        assert out.is_zero()
-
     def test_unipotent_substitution(self):
+        rep = RepAssignment.build(GroupPresentation(("t",), ()),
+                                  [[ExactMatrix.from_rows(QQ, [[1, 1], [0, 1]])]])
         x = GroupAlgebraElement.from_dict(QQ, {Word(((0, 1),)): 1, IDENTITY_WORD: -1})
-        out = evaluate(x, [ExactMatrix.from_rows(QQ, [[1, 1], [0, 1]])])
+        out = evaluate(x, rep, (1,))
         assert rational_rows(out) == [[F(0), F(1)], [F(0), F(0)]]
-
-    def test_regular_representation_swap(self):
-        # g -> the swap on two points; g - 1 maps to [[-1,1],[1,-1]] of rank 1
-        x = GroupAlgebraElement.from_dict(QQ, {Word(((0, 1),)): 1, IDENTITY_WORD: -1})
-        out = evaluate(x, [ExactMatrix.from_rows(QQ, [[0, 1], [1, 0]])])
-        rows = rational_rows(out)
-        assert rows == [[F(-1), F(1)], [F(1), F(-1)]]
-        assert gauss_rank(rows) == 1
 
     def test_empty_word_maps_to_identity(self):
         x = GroupAlgebraElement.from_dict(QQ, {IDENTITY_WORD: 1})
-        out = evaluate(x, sanov_images())
+        out = evaluate(x, sanov_rep(), (1,))
         assert out == ExactMatrix.identity(QQ, 2)
 
     def test_multiplicative_on_products(self):
         rng = random.Random(9)
-        imgs = sanov_images()
+        rep = sanov_rep()
         for _ in range(15):
             tx = {}
             ty = {}
@@ -140,13 +129,14 @@ class TestEvaluate:
                                 for _ in range(rng.randint(0, 4))])] = rng.randint(-2, 2)
             x = GroupAlgebraElement.from_dict(QQ, tx)
             y = GroupAlgebraElement.from_dict(QQ, ty)
-            assert evaluate(x * y, imgs) == evaluate(x, imgs) * evaluate(y, imgs)
+            lam = (rng.randint(1, 3),)
+            assert evaluate(x * y, rep, lam) == evaluate(x, rep, lam) * evaluate(y, rep, lam)
 
     def test_matrix_block_shape(self):
         names = ("a", "b")
         x = GroupAlgebraElement.from_dict(QQ, {word_from_string("ab", names): 1})
         m = GroupAlgebraMatrix.from_rows(QQ, [[x, x], [x, x], [x, x]])
-        out = evaluate(m, sanov_images())
+        out = evaluate(m, sanov_rep(), (1,))
         assert (out.rows, out.cols) == (6, 4)
 
     def test_block_diag_commutes_with_evaluate(self):
@@ -155,33 +145,29 @@ class TestEvaluate:
         y = GroupAlgebraElement.from_dict(QQ, {word_from_string("ba", names): 1, IDENTITY_WORD: 1})
         ma = GroupAlgebraMatrix.from_rows(QQ, [[x]])
         mb = GroupAlgebraMatrix.from_rows(QQ, [[y]])
-        imgs = sanov_images()
-        lhs = evaluate(ga_block_diag(ma, mb), imgs)
-        rhs = block_diag([evaluate(ma, imgs), evaluate(mb, imgs)])
+        rep = sanov_rep()
+        lhs = evaluate(ga_block_diag(ma, mb), rep, (2,))
+        rhs = block_diag([evaluate(ma, rep, (2,)), evaluate(mb, rep, (2,))])
         assert lhs == rhs
-
-    def test_non_invertible_image_rejected(self):
-        x = GroupAlgebraElement.from_dict(QQ, {Word(((0, -1),)): 1})
-        with pytest.raises(StructuralError):
-            evaluate(x, [ExactMatrix.from_rows(QQ, [[1, 0], [0, 0]])])
 
     def test_field_mismatch_rejected(self):
         qw = NumberField((F(1), F(-1), F(1)))
         x = GroupAlgebraElement.from_dict(qw, {IDENTITY_WORD: 1})
         with pytest.raises(FieldMismatchError):
-            evaluate(x, [ExactMatrix.identity(QQ, 2)])
+            evaluate(x, sanov_rep(), (1,))
 
     def test_unknown_generator_rejected(self):
         x = GroupAlgebraElement.from_dict(QQ, {Word(((3, 1),)): 1})
         with pytest.raises(StructuralError):
-            evaluate(x, sanov_images())
+            evaluate(x, sanov_rep(), (1,))
 
     @given(letters, letters, st.integers(-3, 3), st.integers(-3, 3))
     @settings(max_examples=60, deadline=None)
     def test_additive_and_homogeneous(self, raw1, raw2, c1, c2):
-        imgs = [ExactMatrix.from_rows(QQ, [[1, 2], [0, 1]]),
-                ExactMatrix.from_rows(QQ, [[1, 0], [2, 1]]),
-                ExactMatrix.from_rows(QQ, [[2, 0], [0, F(1, 2)]])]
+        rep = RepAssignment.build(GroupPresentation(("a", "b", "c"), ()), [
+            [ExactMatrix.from_rows(QQ, [[1, 2], [0, 1]])],
+            [ExactMatrix.from_rows(QQ, [[1, 0], [2, 1]])],
+            [ExactMatrix.from_rows(QQ, [[2, 0], [0, F(1, 2)]])]])
         x = GroupAlgebraElement.from_dict(QQ, {free_reduce(raw1): c1})
         y = GroupAlgebraElement.from_dict(QQ, {free_reduce(raw2): c2})
-        assert evaluate(x + y, imgs) == evaluate(x, imgs) + evaluate(y, imgs)
+        assert evaluate(x + y, rep, (2,)) == evaluate(x, rep, (2,)) + evaluate(y, rep, (2,))

@@ -5,16 +5,16 @@ import pytest
 
 from l2approx.exactalg import ExactMatrix, QQ, rank_exact, StructuralError
 from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix,
-                                GroupPresentation, IDENTITY_WORD, evaluate,
+                                GroupPresentation, IDENTITY_WORD,
                                 free_reduce, ga_block_diag, ga_block_triangular,
                                 word_from_string)
 from l2approx.rankfun import (AbelianTupleOps, FiniteAlgebraMatrix, FiniteQuotientMap,
                               MemoryCapError, PermutationOps, QuaternionOps,
                               characters_of_cyclic, cyclic_generator,
                               cyclic_power_quotient, cyclotomic_field, finite_vn_rank,
-                              luck_rank, luck_sequence, subgroup_closure, sylvester_rank,
-                              twisted_finite_rank)
-from l2approx.repweights import ParityError
+                              luck_rank, luck_sequence, memory_cap, subgroup_closure,
+                              sylvester_rank, twisted_finite_rank)
+from l2approx.repweights import ParityError, evaluate
 
 
 def random_element(rng, field, names, word_len=4, coeff_span=2, terms=3):
@@ -103,7 +103,7 @@ class TestSylvesterRank:
             lam = (rng.randint(0, 3),)
             d = lam[0] + 1
             ranked = sylvester_rank(a, fig8.rep, lam)
-            mat = evaluate(a, fig8.rep.weight_images(lam))
+            mat = evaluate(a, fig8.rep, lam)
             emb = companion_embed(mat)
             assert F(rank_exact(emb), d * fig8.field.degree) == ranked
 
@@ -205,6 +205,14 @@ class TestFiniteVnRank:
         a = FiniteAlgebraMatrix.single(QQ, {g: 1})
         with pytest.raises(MemoryCapError):
             finite_vn_rank(a, ops, cap=32)
+
+    def test_memory_cap_from_environment(self, monkeypatch):
+        monkeypatch.setenv("L2APPROX_MEMORY_CAP", "96")
+        assert memory_cap() == 96
+        assert memory_cap(8) == 8
+        monkeypatch.setenv("L2APPROX_MEMORY_CAP", "abc")
+        with pytest.raises(ValueError, match="L2APPROX_MEMORY_CAP must be an integer, got 'abc'"):
+            memory_cap()
 
 
 class TestTwistedRank:

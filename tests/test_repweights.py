@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l2approx.exactalg import ExactMatrix, NumberField, QQ, StructuralError
-from l2approx.groupcore import GroupPresentation, word_from_string
+from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
+                                IDENTITY_WORD, Word, free_reduce, word_from_string)
 from l2approx.repweights import (ParityError, RepAssignment, central_character_value,
-                                 sym_power, validate_weight, weight_dim, weight_rep)
+                                 evaluate, sym_power, validate_weight, weight_dim,
+                                 weight_rep)
 
 from oracles import rational_rows, sympy_sym_power
 
@@ -220,3 +222,55 @@ class TestRepAssignment:
             validate_weight((-1,))
         with pytest.raises(StructuralError):
             validate_weight((1.5,))
+
+
+def two_factor_rep():
+    """Free group on a, b in SL2(Q(w)) x SL2(Q(w)), w^2 = w - 1."""
+    w, one, zero = QW.gen(), QW.one, QW.zero
+    a_images = [ExactMatrix.from_rows(QW, [[one, w], [zero, one]]),
+                ExactMatrix.from_rows(QW, [[one, one], [zero, one]])]
+    b_images = [ExactMatrix.from_rows(QW, [[one, zero], [w, one]]),
+                ExactMatrix.from_rows(QW, [[w, zero], [zero, one - w]])]
+    return RepAssignment.build(GroupPresentation(("a", "b"), ()), [a_images, b_images])
+
+
+class TestEvaluate:
+    def test_inverse_letters_invert_the_weight_images(self):
+        rep = two_factor_rep()
+        for lam in ((0, 1), (2, 1), (3, 2)):
+            images = rep.weight_images(lam)
+            ident = ExactMatrix.identity(QW, weight_dim(lam))
+            for j, img in enumerate(images):
+                inv = evaluate(GroupAlgebraElement.of_word(QW, Word(((j, -1),))), rep, lam)
+                assert inv * img == ident
+                assert img * inv == ident
+
+    def test_words_match_dense_products_of_weight_images(self):
+        rng = random.Random(21)
+        rep = two_factor_rep()
+        lam = (2, 1)
+        images = rep.weight_images(lam)
+        inverses = [evaluate(GroupAlgebraElement.of_word(QW, Word(((j, -1),))), rep, lam)
+                    for j in range(len(images))]
+        for _ in range(15):
+            w = free_reduce([(rng.randrange(2), rng.choice((1, -1)))
+                             for _ in range(rng.randint(0, 6))])
+            dense = ExactMatrix.identity(QW, weight_dim(lam))
+            for idx, exp in w.letters:
+                dense = dense * (images[idx] if exp == 1 else inverses[idx])
+            assert evaluate(GroupAlgebraElement.of_word(QW, w), rep, lam) == dense
+
+    def test_matrix_blocks_are_entry_images(self):
+        rep = two_factor_rep()
+        lam = (1, 1)
+        names = ("a", "b")
+        x = GroupAlgebraElement.from_dict(QW, {word_from_string("aB", names): 2,
+                                               IDENTITY_WORD: -1})
+        y = GroupAlgebraElement.of_word(QW, word_from_string("ba", names), QW.gen())
+        out = evaluate(GroupAlgebraMatrix.from_rows(QW, [[x, y]]), rep, lam)
+        d = weight_dim(lam)
+        assert (out.rows, out.cols) == (d, 2 * d)
+        for k, cell in enumerate((x, y)):
+            block = evaluate(cell, rep, lam)
+            assert all(out.entry(i, k * d + j) == block.entry(i, j)
+                       for i in range(d) for j in range(d))
