@@ -18,13 +18,14 @@ import argparse
 import random
 import re
 import sys
+import typing
 from dataclasses import dataclass, fields as dc_fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import census, foxhomology, limitlab, padicharris, rankfun
-from .exactalg import StructuralError
+from .exactalg import InvariantError, StructuralError
 from .groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
                         IDENTITY_WORD, free_reduce, word_from_string)
 from .limitlab import _dec
@@ -71,9 +72,12 @@ class ExperimentConfig:
         return out
 
 
+# field name -> resolved type (str or Optional[int])
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
 def parse_config_file(path: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    known = {f.name for f in dc_fields(cfg)}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -83,13 +87,14 @@ def parse_config_file(path: str) -> ExperimentConfig:
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        f = next(f for f in dc_fields(cfg) if f.name == key)
-        if f.type == "Optional[int]":
-            setattr(cfg, key, int(value))
-        else:
-            setattr(cfg, key, value)
+        if _FIELD_TYPES[key] is not str:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ConfigError(f"config key {key!r} must be an integer, got {value!r}") from None
+        setattr(cfg, key, value)
     return cfg
 
 
@@ -122,9 +127,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def config_from_args(argv: Sequence[str]) -> ExperimentConfig:
     ns = build_arg_parser().parse_args(argv)
-    flags = ExperimentConfig(**{f.name: (getattr(ns, f.name) if getattr(ns, f.name) is not None
-                                         else ("" if f.type == "str" else None))
-                                for f in dc_fields(ExperimentConfig)})
+    flags = ExperimentConfig(**{name: (getattr(ns, name) if getattr(ns, name) is not None
+                                       else ("" if kind is str else None))
+                                for name, kind in _FIELD_TYPES.items()})
     if ns.config:
         return parse_config_file(ns.config).merged_with_flags(flags)
     return flags
@@ -171,9 +176,14 @@ def _fmt_lambda(lam: Sequence[int]) -> str:
     return "x".join(str(v) for v in lam)
 
 
-def _frac_cols(v: Fraction) -> tuple[str, str, str]:
-    v = Fraction(v)
-    return str(v.numerator), str(v.denominator), _dec(v)
+def _csv_row(mode: str, entry: str, lam: str, min_lambda, dim_w, value,
+             target=None, error=None) -> str:
+    """One line in CSV_HEADER's column order: the value as an exact fraction
+    plus its decimal, an absent target or error as an empty field."""
+    v = Fraction(value)
+    return ",".join([mode, entry, lam, str(min_lambda), str(dim_w), str(v.numerator),
+                     str(v.denominator), _dec(v), "" if target is None else str(target),
+                     "" if error is None else _dec(error)])
 
 
 _TERM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)?(?:\s*\*\s*)?([A-Za-z]+)?$")
@@ -326,10 +336,9 @@ def _run_homology(cfg: ExperimentConfig) -> tuple[str, str]:
                                         aspherical=entry.aspherical)
         expected = entry.expected_dims(lam)
         for i, h in enumerate(rpt.dims()):
-            tgt = "" if expected is None else str(expected[i])
-            err = "" if expected is None else _dec(abs(h - expected[i]))
-            lines.append(",".join([f"homology:h{i}", entry.name, _fmt_lambda(lam),
-                                   str(min(lam)), str(rpt.d), str(h), "1", _dec(h), tgt, err]))
+            tgt = None if expected is None else expected[i]
+            lines.append(_csv_row(f"homology:h{i}", entry.name, _fmt_lambda(lam), min(lam),
+                                  rpt.d, h, tgt, None if tgt is None else abs(h - tgt)))
         summary.append(f"lambda={_fmt_lambda(lam)} d={rpt.d} dims={rpt.dims()} "
                        f"rank_j={rpt.rank_j} rank_d={rpt.rank_d}"
                        + ("" if expected is None else f" expected={expected}"))
@@ -347,11 +356,8 @@ def _run_rank(cfg: ExperimentConfig) -> tuple[str, str]:
     pts = []
     for lam in sched.weights:
         v = rankfun.sylvester_rank(a, entry.rep, lam)
-        num, den, dec = _frac_cols(v)
-        tgt = "" if target is None else str(target)
-        err = "" if target is None else _dec(abs(v - target))
-        lines.append(",".join(["rank", entry.name, _fmt_lambda(lam), str(min(lam)),
-                               str(weight_dim(lam)), num, den, dec, tgt, err]))
+        lines.append(_csv_row("rank", entry.name, _fmt_lambda(lam), min(lam), weight_dim(lam),
+                              v, target, None if target is None else abs(v - target)))
         summary.append(f"lambda={_fmt_lambda(lam)} rank={v} ({_dec(v)})")
         pts.append((min(lam), v))
     if len(pts) >= limitlab.MIN_FIT_POINTS:
@@ -374,11 +380,8 @@ def _run_limit(cfg: ExperimentConfig) -> tuple[str, str]:
                                   target=target, aspherical=entry.aspherical)
     lines = [CSV_HEADER]
     for pt in rpt.points:
-        num, den, dec = _frac_cols(pt.value)
-        tgt = "" if target is None else str(target)
-        err = "" if pt.error is None else _dec(pt.error)
-        lines.append(",".join(["limit", entry.name, _fmt_lambda(pt.lam), str(pt.min_lambda),
-                               str(weight_dim(pt.lam)), num, den, dec, tgt, err]))
+        lines.append(_csv_row("limit", entry.name, _fmt_lambda(pt.lam), pt.min_lambda,
+                              weight_dim(pt.lam), pt.value, target, pt.error))
     summary = [f"mode: limit", f"entry: {entry.name}", f"degree: {cfg.degree}"]
     summary.extend(rpt.summary().splitlines())
     return "\n".join(lines) + "\n", "\n".join(summary) + "\n"
@@ -402,11 +405,8 @@ def _run_luck(cfg: ExperimentConfig) -> tuple[str, str]:
     summary = [f"mode: luck", f"entry: {entry.name}",
                f"matrix: {cfg.matrix or 'boundary-stack'} ({a.rows}x{a.cols})"]
     for m, q, v in zip(moduli, chain, values):
-        num, den, dec = _frac_cols(v)
-        tgt = "" if target is None else str(target)
-        err = "" if target is None else _dec(abs(v - target))
-        lines.append(",".join(["luck", entry.name, str(m), "",
-                               str(q.order), num, den, dec, tgt, err]))
+        lines.append(_csv_row("luck", entry.name, str(m), "", q.order, v, target,
+                              None if target is None else abs(v - target)))
         summary.append(f"quotient={q.name} order={q.order} value={v} ({_dec(v)})"
                        + ("" if target is None else f" error={abs(v - target)}"))
     return "\n".join(lines) + "\n", "\n".join(summary) + "\n"
@@ -453,11 +453,8 @@ def _run_harris(cfg: ExperimentConfig) -> tuple[str, str]:
     summary = [f"mode: harris", f"p: {p}", f"element: {label}",
                "level  index  value  envelope=index^(-1/3n)  error"]
     for r in rows:
-        num, den, dec = _frac_cols(r.value)
-        tgt = "" if target is None else str(target)
-        err = "" if r.error is None else _dec(r.error)
-        lines.append(",".join(["harris", element, str(r.level), str(r.index), "",
-                               num, den, dec, tgt, err]))
+        lines.append(_csv_row("harris", element, str(r.level), r.index, "", r.value, target,
+                              r.error))
         summary.append(f"{r.level}  {r.index}  {r.value}  {r.envelope}  "
                        f"{'' if r.error is None else r.error}")
     return "\n".join(lines) + "\n", "\n".join(summary) + "\n"
@@ -477,7 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         kind = type(e).__name__
         print(f"error: {kind}: {e}", file=sys.stderr)
         return 2
-    except foxhomology.InvariantError as e:
+    except InvariantError as e:
         print(f"error: InvariantError: {e}", file=sys.stderr)
         return 3
     if cfg.out:

@@ -1,10 +1,13 @@
 """Exact arithmetic over Q and number fields Q(alpha), plus exact matrix rank.
 
-Everything here is exact: coefficients are `fractions.Fraction`, elements of
-Q(alpha) are polynomials in alpha reduced modulo a monic minimal polynomial,
-and ranks come from fraction-free elimination on integer rows after embedding
-into Q.  Nothing divides in Q(alpha), and no floating point is used on any
-rank path.
+Everything here is exact.  `FieldElement` and `ExactMatrix` hold `Fraction`
+coordinates in the power basis of Q(alpha), reduced modulo a monic minimal
+polynomial; they are the public boundary.  Heavy work runs in integer
+coordinates instead: a `ScaledMatrix` stores every entry as a vector of
+Python ints over one common denominator, products use an integer power
+table, and `embed` turns it into integer rows over Q for the fraction-free
+elimination kernel `rank_rows` and the exact zero test `product_is_zero`.
+Nothing divides in Q(alpha), and no floating point is used on any rank path.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ class StructuralError(ValueError):
 
 class FieldMismatchError(StructuralError):
     """Entries or operands built over different number fields."""
+
+
+class InvariantError(RuntimeError):
+    """A runtime identity failed: an internal inconsistency, not bad input."""
 
 
 def as_fraction(x) -> Fraction:
@@ -68,6 +75,67 @@ class NumberField:
             top = prev[d - 1]
             table.append(tuple(shifted[k] + top * base[k] for k in range(d)))
         return tuple(table)
+
+    @cached_property
+    def _int_table(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        # (t, t * the rows of _power_table that products reach), with t the
+        # least denominator making them integral: 1 for an integral minpoly
+        rows = self._power_table[:self.degree - 1]
+        t = math.lcm(1, *(c.denominator for row in rows for c in row))
+        return t, tuple(tuple(int(c * t) for c in row) for row in rows)
+
+    @property
+    def int_scale(self) -> int:
+        """The factor t that `int_mul` and `ScaledMatrix.embed` multiply in."""
+        return self._int_table[0]
+
+    def int_reduce(self, conv: Sequence[int]) -> tuple[int, ...]:
+        """t times the element with power-basis coordinates `conv`, a vector
+        of 2d-1 ints as a product convolution leaves it, t = int_scale.
+
+        t clears the denominators of a rational minimal polynomial, so the
+        result stays integral; the caller carries t in its denominator.
+        """
+        d = len(conv) // 2 + 1
+        t, table = self._int_table
+        out = list(conv[:d]) if t == 1 else [t * x for x in conv[:d]]
+        for k in range(d - 1):
+            x = conv[d + k]
+            if x:
+                row = table[k]
+                for j in range(d):
+                    out[j] += x * row[j]
+        return tuple(out)
+
+    def int_mul(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
+        """t * u * v for integer power-basis vectors u and v (see int_reduce)."""
+        d = len(u)
+        if d == 1:
+            return (u[0] * v[0],)
+        conv = [0] * (2 * d - 1)
+        for i, x in enumerate(u):
+            if x:
+                for j, y in enumerate(v):
+                    if y:
+                        conv[i + j] += x * y
+        return self.int_reduce(conv)
+
+    @cached_property
+    def _mult_basis(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        # per power alpha^m, the nonzero (l, k, value) of t times its
+        # multiplication matrix: column k holds the coordinates of alpha^(m+k)
+        d = self.degree
+        t, table = self._int_table
+        out = []
+        for m in range(d):
+            entries = []
+            for k in range(d):
+                if m + k < d:
+                    entries.append((m + k, k, t))
+                else:
+                    entries.extend((l, k, x) for l, x in enumerate(table[m + k - d]) if x)
+            out.append(tuple(entries))
+        return tuple(out)
 
     def element(self, coeffs: Sequence[Coeffish]) -> "FieldElement":
         cs = [as_fraction(c) for c in coeffs]
@@ -309,73 +377,162 @@ def block_diag(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     return ExactMatrix(field, rows, cols, tuple(v for row in out for v in row))
 
 
+def scaled_vectors(elems: Sequence[FieldElement]) -> tuple[int, list[tuple[int, ...]]]:
+    """(den, vectors): the elements as integer power-basis vectors divided by
+    den, the least common denominator of all their coordinates."""
+    den = math.lcm(1, *{c.denominator for e in elems for c in e.coeffs})
+    return den, [tuple(c.numerator * (den // c.denominator) for c in e.coeffs) for e in elems]
+
+
+@dataclass(frozen=True)
+class ScaledMatrix:
+    """Matrix over Q(alpha) in integer coordinates.
+
+    Entry (i, j) is the power-basis vector entries[i * cols + j], a tuple of
+    Python ints, divided by the one positive denominator `den`.
+    """
+
+    field: NumberField
+    rows: int
+    cols: int
+    den: int
+    entries: tuple[tuple[int, ...], ...]  # row-major
+
+    @staticmethod
+    def from_exact(m: ExactMatrix) -> "ScaledMatrix":
+        den, vectors = scaled_vectors(m.entries)
+        return ScaledMatrix(m.field, m.rows, m.cols, den, tuple(vectors))
+
+    def to_exact(self) -> ExactMatrix:
+        field, den = self.field, self.den
+        return ExactMatrix(field, self.rows, self.cols, tuple(
+            FieldElement(field, tuple(Fraction(x, den) for x in v)) for v in self.entries))
+
+    def kron(self, other: "ScaledMatrix") -> "ScaledMatrix":
+        if self.field != other.field:
+            raise FieldMismatchError("Kronecker product over different fields")
+        field = self.field
+        mul, zero = field.int_mul, (0,) * field.degree
+        r, c = self.rows * other.rows, self.cols * other.cols
+        flat = [zero] * (r * c)
+        for i in range(self.rows):
+            for j in range(self.cols):
+                a = self.entries[i * self.cols + j]
+                if not any(a):
+                    continue
+                for k in range(other.rows):
+                    base = (i * other.rows + k) * c + j * other.cols
+                    for l in range(other.cols):
+                        b = other.entries[k * other.cols + l]
+                        if any(b):
+                            flat[base + l] = mul(a, b)
+        return ScaledMatrix(field, r, c, self.den * other.den * field.int_scale, tuple(flat))
+
+    def embed(self) -> list[list[int]]:
+        """Integer rows of t * den times the companion embedding over Q.
+
+        Each entry becomes its d x d multiplication matrix, whose column k
+        holds the coordinates of entry * alpha^k; t is the field's int_scale.
+        The result has (rows*d) rows of (cols*d) ints and rank d times the
+        rank of this matrix.  Zero coordinates are skipped.
+        """
+        d, cols, entries = self.field.degree, self.cols, self.entries
+        if d == 1:
+            return [[v[0] for v in entries[i * cols:(i + 1) * cols]] for i in range(self.rows)]
+        basis = self.field._mult_basis
+        out = []
+        for i in range(self.rows):
+            block = [[0] * (cols * d) for _ in range(d)]
+            for j in range(cols):
+                for m, x in enumerate(entries[i * cols + j]):
+                    if x:
+                        for l, k, y in basis[m]:
+                            block[l][j * d + k] += x * y
+            out.extend(block)
+        return out
+
+    def rank(self) -> int:
+        """Exact rank over Q(alpha): `rank_rows` on the embedding, divided by d."""
+        return rank_rows(self.embed()) // self.field.degree
+
+
 def companion_embed(m: ExactMatrix) -> ExactMatrix:
     """Replace each Q(alpha) entry by its d x d multiplication matrix over Q.
 
     The result is a (rows*d) x (cols*d) matrix over Q with
     rank_exact(result) = d * rank_exact(m).  Degree-1 input is returned as is.
     """
-    field = m.field
-    d = field.degree
-    if d == 1:
+    if m.field.degree == 1:
         return m
-    gen = field.gen()
-    flat = [None] * (m.rows * d * m.cols * d)
-    out_cols = m.cols * d
-    for i in range(m.rows):
-        for j in range(m.cols):
-            e = m.entry(i, j)
-            # column k of the multiplication matrix = coefficients of e*alpha^k
-            cur = e
-            for k in range(d):
-                for l in range(d):
-                    flat[(i * d + l) * out_cols + (j * d + k)] = QQ.from_rational(cur.coeffs[l])
-                if k < d - 1:
-                    cur = cur * gen
-    return ExactMatrix(QQ, m.rows * d, m.cols * d, tuple(flat))
+    s = ScaledMatrix.from_exact(m)
+    scale = s.den * m.field.int_scale
+    return ExactMatrix.from_rows(QQ, [[Fraction(x, scale) for x in row] for row in s.embed()])
 
 
-def _integer_row(entries: Sequence[FieldElement]) -> list[int]:
-    """Rational entries scaled by the lcm of their denominators."""
-    values = [e.coeffs[0] for e in entries]
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
+def rank_rows(rows: list[list[int]]) -> int:
+    """Exact rank over Q of a matrix given as integer rows.
 
-
-def rank_exact(m: ExactMatrix) -> int:
-    """Exact rank by fraction-free elimination on Python integer rows.
-
-    Entries over Q(alpha) are first replaced by their multiplication matrices
-    over Q, which multiplies the rank by the field degree.  A row with a
-    nonzero c in the pivot column becomes (p/g)*row - (c/g)*pivot_row, where
-    p is the pivot and g = gcd(p, c), and is then divided by the gcd of its
-    entries; rows with a zero there are left untouched, which keeps sparse
-    matrices cheap.  Deterministic: pivots are chosen first-nonzero in column
-    order.
+    Fraction-free elimination: a row with a nonzero c in the pivot column
+    becomes (p/g)*row - (c/g)*pivot_row, where p is the pivot and
+    g = gcd(p, c), and is then divided by the gcd of its entries; rows with a
+    zero there are left untouched, which keeps sparse matrices cheap.
+    Deterministic: pivots are chosen first-nonzero in column order.  The
+    rows are consumed: the list is reordered and its rows replaced in place,
+    so a replaced row is freed at once.
     """
-    if m.rows == 0 or m.cols == 0:
+    a = rows
+    nrows = len(a)
+    if nrows == 0:
         return 0
-    q = companion_embed(m)
-    a = [_integer_row(q.entries[i * q.cols:(i + 1) * q.cols]) for i in range(q.rows)]
-    rows = len(a)
     rank = 0
-    for col in range(q.cols):
-        piv = next((i for i in range(rank, rows) if a[i][col]), None)
+    for col in range(len(a[0])):
+        piv = next((i for i in range(rank, nrows) if a[i][col]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        pivot_row = a[rank]
-        p = pivot_row[col]
-        for i in range(rank + 1, rows):
+        # rows below the pivot are zero left of col, so only the tail changes
+        p, pivot_tail = a[rank][col], a[rank][col + 1:]
+        head = [0] * (col + 1)
+        for i in range(rank + 1, nrows):
             c = a[i][col]
             if not c:
                 continue
             g = math.gcd(p, c)
             s, t = p // g, c // g
-            row = [s * x - t * y for x, y in zip(a[i], pivot_row)]
-            content = math.gcd(*row)
-            a[i] = [x // content for x in row] if content > 1 else row
+            tail = [s * x - t * y for x, y in zip(a[i][col + 1:], pivot_tail)]
+            content = math.gcd(*tail)
+            a[i] = head + ([x // content for x in tail] if content > 1 else tail)
         rank += 1
-        if rank == rows:
+        if rank == nrows:
             break
-    return rank // m.field.degree
+    return rank
+
+
+def rank_exact(m: ExactMatrix) -> int:
+    """Exact rank of a matrix over Q(alpha): `rank_rows` on its integer
+    companion embedding, divided by the field degree."""
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    return ScaledMatrix.from_exact(m).rank()
+
+
+def product_is_zero(left: Sequence[Sequence[int]], right: Sequence[Sequence[int]]) -> bool:
+    """Exact test that the integer matrix product left * right vanishes.
+
+    Applied to two companion embeddings it tests the product over Q(alpha),
+    since the embedding is multiplicative.  Zero entries on either side are
+    skipped, so sparse factors stay cheap.
+    """
+    if left and len(left[0]) != len(right):
+        raise StructuralError("inner dimensions do not match")
+    sparse = [[(k, y) for k, y in enumerate(row) if y] for row in right]
+    width = len(right[0]) if right else 0
+    for row in left:
+        acc = [0] * width
+        for k, x in enumerate(row):
+            if x:
+                for col, y in sparse[k]:
+                    acc[col] += x * y
+        if any(acc):
+            return False
+    return True

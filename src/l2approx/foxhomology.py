@@ -17,19 +17,16 @@ the Euler identity are verified exactly on every run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactalg import ExactMatrix, rank_exact, vstack
+from .exactalg import (ExactMatrix, InvariantError, ScaledMatrix, product_is_zero, rank_exact,
+                       rank_rows, vstack)
 from .groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
                         IDENTITY_WORD, Word)
-from .repweights import (RepAssignment, WeightVector, evaluate, sl2_inverse, validate_weight,
-                         weight_dim, weight_rep)
-
-
-class InvariantError(RuntimeError):
-    """A runtime identity of the complex failed: an internal inconsistency,
-    not bad input."""
+from .repweights import (RepAssignment, WeightVector, _scaled_evaluate, _scaled_weight_rep,
+                         sl2_inverse, validate_weight, weight_dim, weight_rep)
 
 
 def fox_derivative(w: Word, j: int, field) -> GroupAlgebraElement:
@@ -87,26 +84,47 @@ def check_fox_identity(p: GroupPresentation, field) -> None:
             raise InvariantError(f"fundamental Fox identity fails for relator {rel!r}")
 
 
+def _scaled_boundary(rep: RepAssignment, lam: WeightVector) -> ScaledMatrix:
+    """D: the blocks rho(x_j) - Id stacked over one denominator, in integer
+    coordinates."""
+    images = [_scaled_weight_rep(tup, lam) for tup in rep.scaled_images]
+    d = weight_dim(lam)
+    den = math.lcm(*(img.den for img in images))
+    entries = []
+    for img in images:
+        f = den // img.den
+        for k, v in enumerate(img.entries):
+            v = [f * x for x in v]
+            if k % (d + 1) == 0:  # diagonal
+                v[0] -= den
+            entries.append(tuple(v))
+    return ScaledMatrix(rep.field, len(images) * d, d, den, tuple(entries))
+
+
+def _scaled_complex(p: GroupPresentation, rep: RepAssignment, lam: Sequence[int]):
+    """(J, D, rows of J, rows of D): the pair in integer coordinates and its
+    integer companion embeddings, with J*D = 0 verified on the rows."""
+    lam = rep.check_admissible(lam, central=False)
+    d = weight_dim(lam)
+    D = _scaled_boundary(rep, lam)
+    if p.num_relators:
+        J = _scaled_evaluate(fox_jacobian(p, rep.field), rep, lam)
+    else:
+        J = ScaledMatrix(rep.field, 0, p.num_generators * d, 1, ())
+    j_rows, d_rows = J.embed(), D.embed()
+    if not product_is_zero(j_rows, d_rows):
+        raise InvariantError("composite J*D is nonzero; presentation and images disagree")
+    return J, D, j_rows, d_rows
+
+
 def presentation_complex(p: GroupPresentation, rep: RepAssignment,
                          lam: Sequence[int]) -> tuple[ExactMatrix, ExactMatrix]:
     """Evaluated pair (J, D) with J of shape (r*d, g*d) and D of shape (g*d, d).
 
     Requires the relator-sign parity gate to pass; verifies J*D = 0 exactly.
     """
-    lam = rep.check_admissible(lam, central=False)
-    field = rep.field
-    d = weight_dim(lam)
-    images = rep.weight_images(lam)
-    ident = ExactMatrix.identity(field, d)
-    D = vstack([img - ident for img in images])
-    jac = fox_jacobian(p, field)
-    if p.num_relators:
-        J = evaluate(jac, rep, lam)
-    else:
-        J = ExactMatrix(field, 0, p.num_generators * d, ())
-    if p.num_relators and not (J * D).is_zero():
-        raise InvariantError("composite J*D is nonzero; presentation and images disagree")
-    return J, D
+    J, D, _, _ = _scaled_complex(p, rep, lam)
+    return J.to_exact(), D.to_exact()
 
 
 @dataclass(frozen=True)
@@ -133,9 +151,9 @@ def homology_dims(p: GroupPresentation, rep: RepAssignment, lam: Sequence[int],
     if g == 0:
         # trivial group: W itself in degree 0
         return HomologyReport(lam, d, d, 0, 0, 0, 0, aspherical)
-    J, D = presentation_complex(p, rep, lam)
-    rank_d = rank_exact(D)
-    rank_j = rank_exact(J)
+    _, _, j_rows, d_rows = _scaled_complex(p, rep, lam)
+    rank_d = rank_rows(d_rows) // rep.field.degree
+    rank_j = rank_rows(j_rows) // rep.field.degree
     h0 = d - rank_d
     h1 = g * d - rank_d - rank_j
     h2 = r * d - rank_j
@@ -151,12 +169,9 @@ def invariants_dim(rep: RepAssignment, lam: Sequence[int]) -> int:
     weight module (degree-0 cohomology).  No parity gate."""
     lam = validate_weight(lam)
     d = weight_dim(lam)
-    images = rep.weight_images(lam)
-    if not images:
+    if not rep.images:
         return d
-    ident = ExactMatrix.identity(rep.field, d)
-    stack = vstack([img - ident for img in images])
-    return d - rank_exact(stack)
+    return d - _scaled_boundary(rep, lam).rank()
 
 
 def coinvariants_dim(rep: RepAssignment, lam: Sequence[int]) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import StructuralError
+from .exactalg import InvariantError, StructuralError
 from .foxhomology import homology_dims
 from .groupcore import GroupPresentation
 from .repweights import RepAssignment, WeightVector
@@ -196,6 +196,7 @@ def betti_estimate(p: GroupPresentation, rep: RepAssignment, schedule: WeightSch
         rpt = homology_dims(p, rep, lam, aspherical=aspherical)
         value = Fraction(rpt.dims()[degree], rpt.d)
         if value > p.num_generators and p.num_generators > 0:
-            raise AssertionError("normalized value escapes the middle-term bound")
+            raise InvariantError(f"normalized value {value} at weight {lam} escapes the "
+                                 f"middle-term bound {p.num_generators}")
         pts.append((min(lam), value))
     return convergence_fit(pts, target=target, lams=schedule.weights)

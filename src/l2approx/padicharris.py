@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .exactalg import ExactMatrix, StructuralError
+from .exactalg import ExactMatrix, InvariantError, StructuralError
 from .groupcore import GroupAlgebraMatrix, GroupPresentation
 from .rankfun import FiniteQuotientMap, MemoryCapError, luck_rank
 
@@ -102,11 +102,12 @@ def congruence_quotient(p: int, level: int, n: int = 1,
         c = (p * cr) % m
         d = (pow(a, -1, m) * (1 + b * c)) % m
         if d % p != 1:
-            raise AssertionError("enumeration produced a non-congruence element")
+            raise InvariantError("enumeration produced a non-congruence element")
         factor.append((a, b, c, d))
     elements = tuple(product(factor, repeat=n))
     if len(elements) != order:
-        raise AssertionError("enumeration size disagrees with the order formula")
+        raise InvariantError(f"enumeration size {len(elements)} disagrees with the order "
+                             f"formula {order}")
     ops = CongruenceOps(p, level, n)
     return CongruenceQuotient(p, level, n, order, ops, elements)
 

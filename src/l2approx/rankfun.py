@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Optional, Protocol, Sequence
 
-from .exactalg import (ExactMatrix, FieldElement, NumberField, QQ, StructuralError,
-                       as_fraction, rank_exact)
+from .exactalg import (FieldElement, NumberField, QQ, ScaledMatrix, StructuralError,
+                       as_fraction, scaled_vectors)
 from .groupcore import GroupAlgebraMatrix, GroupPresentation, Word
-from .repweights import RepAssignment, evaluate, weight_dim
+from .repweights import RepAssignment, _scaled_evaluate, weight_dim
 
 RankValue = Fraction
 
@@ -217,30 +217,30 @@ def _clean_cell(field: NumberField, cell: Mapping) -> dict:
     return out
 
 
-def _regular_blocks(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequence) -> ExactMatrix:
+def _regular_blocks(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequence) -> ScaledMatrix:
     """Left regular representation blocks over the listed elements."""
     field = a.field
     q = len(elements)
     index = {g: k for k, g in enumerate(elements)}
-    zero = field.zero
+    for cell in a.entries:
+        for g in cell:
+            if g not in index:
+                raise StructuralError("matrix support escapes the listed elements")
+    den, vectors = scaled_vectors([c for cell in a.entries for c in cell.values()])
+    coeffs = iter(vectors)
+    cells = [[(g, next(coeffs)) for g in cell] for cell in a.entries]
     out_rows = a.rows * q
     out_cols = a.cols * q
-    flat = [zero] * (out_rows * out_cols)
+    flat = [(0,) * field.degree] * (out_rows * out_cols)
     for i in range(a.rows):
         for j in range(a.cols):
-            cell = a.entry(i, j)
-            if not cell:
-                continue
-            for g, c in cell.items():
-                if g not in index:
-                    raise StructuralError("matrix support escapes the listed elements")
+            cell = cells[i * a.cols + j]
             for v_idx, v in enumerate(elements):
                 col = j * q + v_idx
-                for g, c in cell.items():
-                    u = ops.mul(g, v)
-                    flat[(i * q + index[u]) * out_cols + col] = \
-                        flat[(i * q + index[u]) * out_cols + col] + c
-    return ExactMatrix(field, out_rows, out_cols, tuple(flat))
+                for g, c in cell:
+                    k = (i * q + index[ops.mul(g, v)]) * out_cols + col
+                    flat[k] = tuple(x + y for x, y in zip(flat[k], c))
+    return ScaledMatrix(field, out_rows, out_cols, den, tuple(flat))
 
 
 def finite_vn_rank(a: FiniteAlgebraMatrix, ops: GroupOps, *,
@@ -265,7 +265,7 @@ def finite_vn_rank(a: FiniteAlgebraMatrix, ops: GroupOps, *,
             raise MemoryCapError(
                 f"|Q| * max(r, s) = {len(elements) * max(a.rows, a.cols)} exceeds the cap ({limit})")
     mat = _regular_blocks(a, ops, elements)
-    return Fraction(rank_exact(mat), len(elements))
+    return Fraction(mat.rank(), len(elements))
 
 
 def twisted_finite_rank(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequence,
@@ -308,21 +308,24 @@ def twisted_finite_rank(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequenc
         raise StructuralError("central subgroup does not evenly tile the element list")
     m = len(transversal)
     index = {t: k for k, t in enumerate(transversal)}
-    zero = field.zero
+    # every coefficient c * chi(z) in integer coordinates over one denominator
+    products = {(k, g, z): c * chi_e[z] for k, cell in enumerate(a.entries)
+                for g, c in cell.items() for z in center}
+    den, vectors = scaled_vectors(list(products.values()))
+    scaled = dict(zip(products, vectors))
     out_rows, out_cols = a.rows * m, a.cols * m
-    flat = [zero] * (out_rows * out_cols)
+    flat = [(0,) * field.degree] * (out_rows * out_cols)
     for i in range(a.rows):
         for j in range(a.cols):
-            cell = a.entry(i, j)
+            k = i * a.cols + j
             for t_idx, t in enumerate(transversal):
                 col = j * m + t_idx
-                for g, c in cell.items():
-                    u = ops.mul(g, t)
-                    t2, z = decomp[u]
-                    row = i * m + index[t2]
-                    flat[row * out_cols + col] = flat[row * out_cols + col] + c * chi_e[z]
-    mat = ExactMatrix(field, out_rows, out_cols, tuple(flat))
-    return Fraction(rank_exact(mat), m)
+                for g in a.entries[k]:
+                    t2, z = decomp[ops.mul(g, t)]
+                    pos = (i * m + index[t2]) * out_cols + col
+                    flat[pos] = tuple(x + y for x, y in zip(flat[pos], scaled[k, g, z]))
+    mat = ScaledMatrix(field, out_rows, out_cols, den, tuple(flat))
+    return Fraction(mat.rank(), m)
 
 
 def _check_character(ops: GroupOps, center: Sequence, chi: Mapping, field: NumberField):
@@ -473,8 +476,7 @@ def sylvester_rank(a: GroupAlgebraMatrix, rep: RepAssignment, lam: Sequence[int]
     d = weight_dim(lam)
     if a.rows == 0 or a.cols == 0:
         return Fraction(0)
-    mat = evaluate(a, rep, lam)
-    return Fraction(rank_exact(mat), d)
+    return Fraction(_scaled_evaluate(a, rep, lam).rank(), d)
 
 
 def luck_rank(a: GroupAlgebraMatrix, q: FiniteQuotientMap, *,

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .exactalg import (ExactMatrix, FieldElement, FieldMismatchError, NumberField,
-                       StructuralError)
+                       ScaledMatrix, StructuralError, scaled_vectors)
 from .groupcore import GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation, Word
 
 WeightVector = tuple[int, ...]
@@ -57,11 +58,46 @@ def _require_sl2(g: ExactMatrix):
         raise ValueError("matrix determinant must be exactly 1")
 
 
-def _powers(x: FieldElement, n: int) -> list[FieldElement]:
-    out = [x.field.one]
-    for _ in range(n):
-        out.append(out[-1] * x)
-    return out
+def _scaled_sym_power(sg: ScaledMatrix, lam: int) -> ScaledMatrix:
+    # Integer coordinates: a 2x2 matrix g = (s*g)/s with s = sg.den gives
+    # Sym^lam(g) = Sym^lam(s*g) / s^lam.  P[n] = t^n x^n for each entry x
+    # (t = the field's int_scale, 1 for an integral minpoly), so every
+    # coefficient below carries the same factor t^(lam+3).
+    field = sg.field
+    mul, t, deg = field.int_mul, field.int_scale, field.degree
+    zero = (0,) * deg
+    one = (1,) + zero[1:]
+
+    def powers(x):
+        out = [one]
+        for _ in range(lam):
+            out.append(mul(out[-1], x))
+        return out
+
+    def sparse(v):
+        return [(i, x) for i, x in enumerate(v) if x]
+
+    pa, pb, pc, pd = (powers(x) for x in sg.entries)
+    n = lam + 1
+    cols = []
+    for j in range(n):
+        # (a x + c y)^(lam-j) (b x + d y)^j, coefficient of x^(lam-i) y^i;
+        # products are summed as convolutions and reduced once per entry
+        p1 = [(k, v, math.comb(lam - j, k)) for k in range(lam - j + 1)
+              if (v := sparse(mul(pa[lam - j - k], pc[k])))]
+        p2 = [(l, v, math.comb(j, l)) for l in range(j + 1)
+              if (v := sparse(mul(pb[j - l], pd[l])))]
+        conv = [[0] * (2 * deg - 1) for _ in range(n)]
+        for k, v1, c1 in p1:
+            for l, v2, c2 in p2:
+                acc, c = conv[k + l], c1 * c2
+                for q1, x in v1:
+                    cx = c * x
+                    for q2, y in v2:
+                        acc[q1 + q2] += cx * y
+        cols.append([field.int_reduce(v) for v in conv])
+    return ScaledMatrix(field, n, n, sg.den ** lam * t ** (lam + 3),
+                        tuple(cols[j][i] for i in range(n) for j in range(n)))
 
 
 def sym_power(g: ExactMatrix, lam: int) -> ExactMatrix:
@@ -69,38 +105,24 @@ def sym_power(g: ExactMatrix, lam: int) -> ExactMatrix:
     if lam < 0:
         raise StructuralError("symmetric power degree must be non-negative")
     _require_sl2(g)
-    field = g.field
-    a, b = g.entry(0, 0), g.entry(0, 1)
-    c, d = g.entry(1, 0), g.entry(1, 1)
-    n = lam + 1
-    pa, pb = _powers(a, lam), _powers(b, lam)
-    pc, pd = _powers(c, lam), _powers(d, lam)
-    cols: list[list[FieldElement]] = []
-    for j in range(n):
-        # (a x + c y)^(lam-j) (b x + d y)^j, coefficient of x^(lam-i) y^i
-        p1 = [field.from_rational(math.comb(lam - j, k)) * pa[lam - j - k] * pc[k]
-              for k in range(lam - j + 1)]
-        p2 = [field.from_rational(math.comb(j, l)) * pb[j - l] * pd[l]
-              for l in range(j + 1)]
-        col = [field.zero] * n
-        for k, v1 in enumerate(p1):
-            if v1:
-                for l, v2 in enumerate(p2):
-                    if v2:
-                        col[k + l] = col[k + l] + v1 * v2
-        cols.append(col)
-    return ExactMatrix(field, n, n, tuple(cols[j][i] for i in range(n) for j in range(n)))
+    return _scaled_sym_power(ScaledMatrix.from_exact(g), lam).to_exact()
+
+
+def _scaled_weight_rep(gs: Sequence[ScaledMatrix], lam: WeightVector) -> ScaledMatrix:
+    if len(gs) != len(lam):
+        raise StructuralError(f"got {len(gs)} factor matrices for {len(lam)} weights")
+    out = _scaled_sym_power(gs[0], lam[0])
+    for g, l in zip(gs[1:], lam[1:]):
+        out = out.kron(_scaled_sym_power(g, l))
+    return out
 
 
 def weight_rep(gs: Sequence[ExactMatrix], lam: Sequence[int]) -> ExactMatrix:
     """Kronecker product over factors of sym_power(g_j, lam_j)."""
     lam = validate_weight(lam)
-    if len(gs) != len(lam):
-        raise StructuralError(f"got {len(gs)} factor matrices for {len(lam)} weights")
-    out = sym_power(gs[0], lam[0])
-    for g, l in zip(gs[1:], lam[1:]):
-        out = out.kron(sym_power(g, l))
-    return out
+    for g in gs:
+        _require_sl2(g)
+    return _scaled_weight_rep([ScaledMatrix.from_exact(g) for g in gs], lam).to_exact()
 
 
 def _central_sign(z: Union[int, ExactMatrix]) -> int:
@@ -176,11 +198,12 @@ class RepAssignment:
                     raise ValueError(
                         f"generator {presentation.generator_names[gi]!r} factor {fj}: determinant is not 1")
         ident = ExactMatrix.identity(field, 2)
+        scaled = [[ScaledMatrix.from_exact(g) for g in tup] for tup in images]
         signs = []
         for rk, rel in enumerate(presentation.relators):
             row = []
             for fj in range(n):
-                m = _word_image_2x2([tup[fj] for tup in images], rel, field)
+                m = _scaled_word_image([tup[fj] for tup in scaled], rel, field).to_exact()
                 if m == ident:
                     row.append(1)
                 elif m == -ident:
@@ -237,6 +260,11 @@ class RepAssignment:
         except ParityError:
             return False
 
+    @cached_property
+    def scaled_images(self) -> tuple[tuple[ScaledMatrix, ...], ...]:
+        """The generator images in integer coordinates, per generator, per factor."""
+        return tuple(tuple(ScaledMatrix.from_exact(g) for g in tup) for tup in self.images)
+
     def weight_images(self, lam: Sequence[int]) -> list[ExactMatrix]:
         """Per-generator matrices on the weight module (no parity gate here)."""
         lam = validate_weight(lam)
@@ -249,26 +277,38 @@ def sl2_inverse(g: ExactMatrix) -> ExactMatrix:
                                            [-g.entry(1, 0), g.entry(0, 0)]])
 
 
-def _word_image_2x2(factor_images: Sequence[ExactMatrix], w: Word,
-                    field: NumberField) -> ExactMatrix:
-    out = ExactMatrix.identity(field, 2)
+def _scaled_word_image(factor_images: Sequence[ScaledMatrix], w: Word,
+                       field: NumberField) -> ScaledMatrix:
+    """2x2 image of a word in integer coordinates, over its least denominator.
+
+    Inverse letters use the adjugate, which is the inverse in SL2.
+    """
+    mul, t = field.int_mul, field.int_scale
+    zero = (0,) * field.degree
+    one = (1,) + zero[1:]
+
+    def add(u, v):
+        return tuple(x + y for x, y in zip(u, v))
+
+    a, b, c, d, den = one, zero, zero, one, 1
     for idx, exp in w.letters:
         if idx >= len(factor_images):
             raise StructuralError("word references a generator with no image")
         g = factor_images[idx]
-        out = out * (g if exp == 1 else sl2_inverse(g))
-    return out
+        e, f, h, k = g.entries
+        if exp == -1:
+            e, f, h, k = k, tuple(-x for x in f), tuple(-x for x in h), e
+        a, b, c, d = (add(mul(a, e), mul(b, h)), add(mul(a, f), mul(b, k)),
+                      add(mul(c, e), mul(d, h)), add(mul(c, f), mul(d, k)))
+        den *= g.den * t
+    content = math.gcd(den, *a, *b, *c, *d)
+    entries = tuple(tuple(x // content for x in v) for v in (a, b, c, d))
+    return ScaledMatrix(field, 2, 2, den // content, entries)
 
 
-def evaluate(a: Union[GroupAlgebraElement, GroupAlgebraMatrix], rep: RepAssignment,
-             lam: Sequence[int]) -> ExactMatrix:
-    """Image of a group-algebra element or matrix on the weight module of `lam`.
-
-    Sym^lam and the Kronecker product are homomorphisms, so each support word
-    is multiplied out as a 2x2 matrix per factor and lifted to the weight
-    module once.  A matrix becomes the (rows*d) x (cols*d) block matrix with
-    d = dim W; an element becomes a d x d matrix.  No parity gate here.
-    """
+def _scaled_evaluate(a: Union[GroupAlgebraElement, GroupAlgebraMatrix], rep: RepAssignment,
+                     lam: Sequence[int]) -> ScaledMatrix:
+    """`evaluate` in integer coordinates, over one denominator."""
     lam = validate_weight(lam)
     if isinstance(a, GroupAlgebraElement):
         a = GroupAlgebraMatrix.single(a)
@@ -278,20 +318,52 @@ def evaluate(a: Union[GroupAlgebraElement, GroupAlgebraMatrix], rep: RepAssignme
         raise FieldMismatchError("matrix field differs from representation field")
     if len(lam) != rep.n:
         raise StructuralError(f"weight has {len(lam)} entries for {rep.n} factors")
-    factors = [[tup[j] for tup in rep.images] for j in range(rep.n)]
-    lifted = {w: weight_rep([_word_image_2x2(f, w, rep.field) for f in factors], lam).entries
+    field = rep.field
+    factors = [[tup[j] for tup in rep.scaled_images] for j in range(rep.n)]
+    lifted = {w: _scaled_weight_rep([_scaled_word_image(f, w, field) for f in factors], lam)
               for w in a.support()}
+    # each term c * lifted[w] as integer vectors over its own denominator; a
+    # rational c scales the image, any other c multiplies in (adding int_scale)
+    mul = field.int_mul
+    cells = []
+    for e in a.entries:
+        cell = []
+        for w, c in e.terms:
+            cden, (cvec,) = scaled_vectors([c])
+            img = lifted[w]
+            if any(cvec[1:]):
+                cell.append(([mul(cvec, v) for v in img.entries],
+                             cden * img.den * field.int_scale))
+            else:
+                cell.append(([tuple(cvec[0] * x for x in v) for v in img.entries],
+                             cden * img.den))
+        cells.append(cell)
+    den = math.lcm(1, *(tden for cell in cells for _, tden in cell))
     d = weight_dim(lam)
     out_cols = a.cols * d
-    flat = [rep.field.zero] * (a.rows * d * out_cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            for w, c in a.entry(i, j).terms:
-                img = lifted[w]
-                for bi in range(d):
-                    base = (i * d + bi) * out_cols + j * d
-                    for bj in range(d):
-                        v = img[bi * d + bj]
-                        if v:
-                            flat[base + bj] = flat[base + bj] + c * v
-    return ExactMatrix(rep.field, a.rows * d, out_cols, tuple(flat))
+    flat = [[0] * field.degree for _ in range(a.rows * d * out_cols)]
+    for idx, cell in enumerate(cells):
+        i, j = divmod(idx, a.cols)
+        for vectors, tden in cell:
+            f = den // tden
+            for bi in range(d):
+                base = (i * d + bi) * out_cols + j * d
+                for bj, v in enumerate(vectors[bi * d:(bi + 1) * d]):
+                    if any(v):
+                        acc = flat[base + bj]
+                        for q, x in enumerate(v):
+                            acc[q] += f * x
+    return ScaledMatrix(field, a.rows * d, out_cols, den, tuple(tuple(v) for v in flat))
+
+
+def evaluate(a: Union[GroupAlgebraElement, GroupAlgebraMatrix], rep: RepAssignment,
+             lam: Sequence[int]) -> ExactMatrix:
+    """Image of a group-algebra element or matrix on the weight module of `lam`.
+
+    Sym^lam and the Kronecker product are homomorphisms, so each support word
+    is multiplied out as a 2x2 matrix per factor and lifted to the weight
+    module once, in integer coordinates.  A matrix becomes the
+    (rows*d) x (cols*d) block matrix with d = dim W; an element becomes a
+    d x d matrix.  No parity gate here.
+    """
+    return _scaled_evaluate(a, rep, lam).to_exact()

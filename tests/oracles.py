@@ -2,18 +2,21 @@
 
 Nothing here shares code with the library's rank or representation paths:
 ranks come from plain Gaussian elimination over Fractions or from modular
-elimination, symmetric powers from sympy's symbolic expansion, slopes from
+elimination, companion embeddings from an independent polynomial reduction,
+symmetric powers from sympy's symbolic expansion or from `FieldElement`
+arithmetic on Fractions (the library's former implementation), slopes from
 numpy.  These are the second route of every dual-route check.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import sympy as sp
 
-from l2approx.exactalg import ExactMatrix, companion_embed
+from l2approx.exactalg import ExactMatrix, FieldElement
 
 
 def gauss_rank(rows: list[list[Fraction]]) -> int:
@@ -39,6 +42,22 @@ def gauss_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def companion_rows(m: ExactMatrix) -> list[list[Fraction]]:
+    """Companion embedding over Q built by polynomial multiplication and
+    `minpoly_reduce`: column k of an entry's block holds entry * alpha^k."""
+    e = m.field.degree
+    minpoly = list(m.field.minpoly)
+    rows = [[Fraction(0)] * (m.cols * e) for _ in range(m.rows * e)]
+    for i in range(m.rows):
+        for j in range(m.cols):
+            coeffs = list(m.entry(i, j).coeffs)
+            for k in range(e):
+                col = minpoly_reduce([Fraction(0)] * k + coeffs, minpoly)
+                for l in range(e):
+                    rows[i * e + l][j * e + k] = col[l]
+    return rows
+
+
 def exact_matrix_rank_oracle(m: ExactMatrix) -> int:
     """Rank via companion embedding to Q followed by Gaussian elimination.
 
@@ -46,9 +65,7 @@ def exact_matrix_rank_oracle(m: ExactMatrix) -> int:
     divided by e, which equals the rank over Q(alpha).
     """
     e = m.field.degree
-    q = companion_embed(m)
-    rows = [[q.entry(i, j).coeffs[0] for j in range(q.cols)] for i in range(q.rows)]
-    r = gauss_rank(rows)
+    r = gauss_rank(companion_rows(m))
     assert r % e == 0, "companion rank is not a multiple of the degree"
     return r // e
 
@@ -126,3 +143,80 @@ def minpoly_reduce(coeffs: list[Fraction], minpoly: list[Fraction]) -> list[Frac
                 coeffs[k - d + j] -= c * minpoly[j]
     out = coeffs[:d]
     return out + [Fraction(0)] * (d - len(out))
+
+
+# ---------------------------------------------------------------------------
+# the former Fraction-coordinate weight modules, kept as references for the
+# library's integer-coordinate kernel
+# ---------------------------------------------------------------------------
+
+def _powers(x: FieldElement, n: int) -> list[FieldElement]:
+    out = [x.field.one]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
+def fraction_sym_power(g: ExactMatrix, lam: int) -> ExactMatrix:
+    """Sym^lam(g) by binomial expansion in `FieldElement` arithmetic: column j
+    holds (a x + c y)^(lam-j) (b x + d y)^j in the monomials x^(lam-i) y^i."""
+    field = g.field
+    a, b = g.entry(0, 0), g.entry(0, 1)
+    c, d = g.entry(1, 0), g.entry(1, 1)
+    n = lam + 1
+    pa, pb = _powers(a, lam), _powers(b, lam)
+    pc, pd = _powers(c, lam), _powers(d, lam)
+    cols = []
+    for j in range(n):
+        p1 = [field.from_rational(math.comb(lam - j, k)) * pa[lam - j - k] * pc[k]
+              for k in range(lam - j + 1)]
+        p2 = [field.from_rational(math.comb(j, l)) * pb[j - l] * pd[l]
+              for l in range(j + 1)]
+        col = [field.zero] * n
+        for k, v1 in enumerate(p1):
+            if v1:
+                for l, v2 in enumerate(p2):
+                    if v2:
+                        col[k + l] = col[k + l] + v1 * v2
+        cols.append(col)
+    return ExactMatrix(field, n, n, tuple(cols[j][i] for i in range(n) for j in range(n)))
+
+
+def fraction_weight_rep(gs, lam) -> ExactMatrix:
+    out = fraction_sym_power(gs[0], lam[0])
+    for g, l in zip(gs[1:], lam[1:]):
+        out = out.kron(fraction_sym_power(g, l))
+    return out
+
+
+def fraction_evaluate(a, rep, lam) -> ExactMatrix:
+    """Image of a group-algebra matrix: each word multiplied out in 2x2 per
+    factor (inverse letters by the adjugate), lifted by fraction_weight_rep,
+    and summed into blocks with `FieldElement` arithmetic."""
+    field = rep.field
+
+    def word_image(images, w):
+        out = ExactMatrix.identity(field, 2)
+        for idx, exp in w.letters:
+            g = images[idx]
+            if exp == -1:
+                g = ExactMatrix.from_rows(field, [[g.entry(1, 1), -g.entry(0, 1)],
+                                                  [-g.entry(1, 0), g.entry(0, 0)]])
+            out = out * g
+        return out
+
+    factors = [[tup[j] for tup in rep.images] for j in range(rep.n)]
+    lifted = {w: fraction_weight_rep([word_image(f, w) for f in factors], lam)
+              for w in a.support()}
+    d = math.prod(v + 1 for v in lam)
+    out_cols = a.cols * d
+    flat = [field.zero] * (a.rows * d * out_cols)
+    for i in range(a.rows):
+        for j in range(a.cols):
+            for w, c in a.entry(i, j).terms:
+                img = lifted[w]
+                for bi in range(d):
+                    for bj in range(d):
+                        k = (i * d + bi) * out_cols + j * d + bj
+                        flat[k] = flat[k] + c * img.entry(bi, bj)
+    return ExactMatrix(field, a.rows * d, out_cols, tuple(flat))

@@ -123,6 +123,18 @@ class TestConfigFile:
         with pytest.raises(Exception):
             parse_config_file(str(cfgfile))
 
+    def test_integer_keys_are_typed(self, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("mode=rank\nword-len=0\nseed=-3\nweights=2:4\n")
+        cfg = parse_config_file(str(cfgfile))
+        assert (cfg.word_len, cfg.seed, cfg.weights) == (0, -3, "2:4")
+        cfgfile.write_text("mode=harris\np=three\nlevels=1:2\n")
+        with pytest.raises(cli.ConfigError, match="'p' must be an integer, got 'three'"):
+            parse_config_file(str(cfgfile))
+        assert main(["--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "error: ConfigError: config key 'p' must be an integer, got 'three'"
+
 
 class TestErrors:
     def test_unknown_entry_exits_nonzero_with_one_line_error(self, tmp_path, capsys):
@@ -189,12 +201,25 @@ class TestErrors:
     def test_invariant_failure_is_one_line_with_its_own_code(self, tmp_path, capsys,
                                                             monkeypatch):
         # a rank larger than the matrix drives a homology dimension negative
-        monkeypatch.setattr(foxhomology, "rank_exact", lambda m: m.rows + m.cols)
+        monkeypatch.setattr(foxhomology, "rank_rows", lambda rows: len(rows) + len(rows[0]))
         rc = main(["--mode", "homology", "--entry", "figure-eight", "--weights", "2:2",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error: InvariantError: negative homology dimension")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_middle_term_bound_failure_is_an_invariant_error(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # rank -1 over Q(w) (companion rows carry twice the rank) keeps the
+        # Euler identity and every dimension non-negative but gives h1 > 2d
+        monkeypatch.setattr(foxhomology, "rank_rows", lambda rows: -2)
+        rc = main(["--mode", "limit", "--entry", "figure-eight", "--weights", "2:8:2",
+                   "--degree", "1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvariantError: normalized value 8/3 at weight (2,) "
+                              "escapes the middle-term bound 2")
         assert len(err.strip().splitlines()) == 1
 
 

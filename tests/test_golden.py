@@ -1,0 +1,42 @@
+"""Byte-equality gate on the CSV and summary output of fast CLI commands.
+
+The files under `tests/golden/` were captured before the weight-module layer
+moved to integer coordinates; any change to a rank, a row format or a summary
+line shows here as a byte difference.  To capture them again, write
+`run_experiment`'s two strings for each case to `<name>.csv` and
+`<name>.summary.txt`.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from l2approx.cli import config_from_args, run_experiment
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+CASES = {
+    "homology-figure-eight": ["--mode", "homology", "--entry", "figure-eight",
+                              "--weights", "2:20:2"],
+    "homology-whitehead": ["--mode", "homology", "--entry", "whitehead", "--weights", "2:10:2"],
+    "rank-figure-eight-fox-jacobian": ["--mode", "rank", "--entry", "figure-eight",
+                                       "--matrix", "fox-jacobian", "--weights", "2:12:2"],
+    "limit-sanov-f2": ["--mode", "limit", "--entry", "sanov-f2", "--degree", "1",
+                       "--weights", "1:12"],
+    "harris-diagonal": ["--mode", "harris", "--p", "3", "--levels", "1:3",
+                        "--element", "diagonal"],
+    "harris-random-seed5": ["--mode", "harris", "--p", "3", "--levels", "1:3",
+                            "--element", "random", "--seed", "5"],
+    "luck-z2-lattice": ["--mode", "luck", "--entry", "z2-lattice", "--quotients", "2,4,8"],
+}
+
+
+def render(name: str) -> tuple[str, str]:
+    return run_experiment(config_from_args(CASES[name]))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_bytes_match_golden(name):
+    csv_text, summary_text = render(name)
+    assert csv_text == (GOLDEN_DIR / f"{name}.csv").read_text()
+    assert summary_text == (GOLDEN_DIR / f"{name}.summary.txt").read_text()

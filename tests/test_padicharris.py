@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from l2approx.exactalg import ExactMatrix, QQ, StructuralError
+from l2approx import padicharris
+from l2approx.exactalg import ExactMatrix, InvariantError, QQ, StructuralError
 from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix,
                                 GroupPresentation, IDENTITY_WORD, word_from_string)
 from l2approx.padicharris import (congruence_quotient, congruence_quotient_map,
@@ -141,3 +142,17 @@ class TestHarris:
         with pytest.raises(StructuralError):
             harris_sequence(t_minus_one(), z_presentation(),
                             unipotent_element_images(3), 3, [0, 1])
+
+
+class TestEnumerationChecks:
+    def test_size_disagreement_is_an_invariant_error(self, monkeypatch):
+        real = padicharris.product
+        monkeypatch.setattr(padicharris, "product", lambda *a, **k: list(real(*a, **k))[:-1])
+        with pytest.raises(InvariantError,
+                           match="enumeration size 25 disagrees with the order formula 27"):
+            congruence_quotient(3, 2)
+
+    def test_non_congruence_element_is_an_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(padicharris, "pow", lambda *a: 0, raising=False)
+        with pytest.raises(InvariantError, match="non-congruence element"):
+            congruence_quotient(3, 2)
