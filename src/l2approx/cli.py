@@ -152,8 +152,10 @@ def _parse_weights(spec: str) -> range:
 
 def _parse_levels(spec: str) -> list[int]:
     if re.fullmatch(r"\d+:\d+", spec):
-        a, b = spec.split(":")
-        return list(range(int(a), int(b) + 1))
+        a, b = (int(x) for x in spec.split(":"))
+        if b < a:
+            raise ConfigError(f"--levels START:END needs START <= END, got {spec!r}")
+        return list(range(a, b + 1))
     try:
         return [int(x) for x in spec.split(",")]
     except ValueError:

@@ -339,18 +339,6 @@ class ExactMatrix:
         return ExactMatrix(self.field, r, c, tuple(flat))
 
 
-def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    field, rows = mats[0].field, mats[0].rows
-    for m in mats:
-        if m.field != field or m.rows != rows:
-            raise StructuralError("hstack needs equal row counts over one field")
-    flat = []
-    for i in range(rows):
-        for m in mats:
-            flat.extend(m.entries[i * m.cols:(i + 1) * m.cols])
-    return ExactMatrix(field, rows, sum(m.cols for m in mats), tuple(flat))
-
-
 def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     field, cols = mats[0].field, mats[0].cols
     for m in mats:

@@ -21,12 +21,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactalg import (ExactMatrix, InvariantError, ScaledMatrix, product_is_zero, rank_exact,
-                       rank_rows, vstack)
+from .exactalg import (ExactMatrix, InvariantError, NumberField, ScaledMatrix, product_is_zero,
+                       rank_rows)
 from .groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
                         IDENTITY_WORD, Word)
 from .repweights import (RepAssignment, WeightVector, _scaled_evaluate, _scaled_weight_rep,
-                         sl2_inverse, validate_weight, weight_dim, weight_rep)
+                         validate_weight, weight_dim)
 
 
 def fox_derivative(w: Word, j: int, field) -> GroupAlgebraElement:
@@ -84,10 +84,11 @@ def check_fox_identity(p: GroupPresentation, field) -> None:
             raise InvariantError(f"fundamental Fox identity fails for relator {rel!r}")
 
 
-def _scaled_boundary(rep: RepAssignment, lam: WeightVector) -> ScaledMatrix:
-    """D: the blocks rho(x_j) - Id stacked over one denominator, in integer
-    coordinates."""
-    images = [_scaled_weight_rep(tup, lam) for tup in rep.scaled_images]
+def _scaled_boundary(field: NumberField, gen_images: Sequence[Sequence[ScaledMatrix]],
+                     lam: WeightVector) -> ScaledMatrix:
+    """D: the blocks rho(x_j) - Id for the per-generator, per-factor 2x2 images,
+    stacked over one denominator, in integer coordinates."""
+    images = [_scaled_weight_rep(tup, lam) for tup in gen_images]
     d = weight_dim(lam)
     den = math.lcm(*(img.den for img in images))
     entries = []
@@ -98,7 +99,7 @@ def _scaled_boundary(rep: RepAssignment, lam: WeightVector) -> ScaledMatrix:
             if k % (d + 1) == 0:  # diagonal
                 v[0] -= den
             entries.append(tuple(v))
-    return ScaledMatrix(rep.field, len(images) * d, d, den, tuple(entries))
+    return ScaledMatrix(field, len(images) * d, d, den, tuple(entries))
 
 
 def _scaled_complex(p: GroupPresentation, rep: RepAssignment, lam: Sequence[int]):
@@ -106,7 +107,7 @@ def _scaled_complex(p: GroupPresentation, rep: RepAssignment, lam: Sequence[int]
     integer companion embeddings, with J*D = 0 verified on the rows."""
     lam = rep.check_admissible(lam, central=False)
     d = weight_dim(lam)
-    D = _scaled_boundary(rep, lam)
+    D = _scaled_boundary(rep.field, rep.scaled_images, lam)
     if p.num_relators:
         J = _scaled_evaluate(fox_jacobian(p, rep.field), rep, lam)
     else:
@@ -171,7 +172,7 @@ def invariants_dim(rep: RepAssignment, lam: Sequence[int]) -> int:
     d = weight_dim(lam)
     if not rep.images:
         return d
-    return d - _scaled_boundary(rep, lam).rank()
+    return d - _scaled_boundary(rep.field, rep.scaled_images, lam).rank()
 
 
 def coinvariants_dim(rep: RepAssignment, lam: Sequence[int]) -> int:
@@ -181,8 +182,12 @@ def coinvariants_dim(rep: RepAssignment, lam: Sequence[int]) -> int:
     d = weight_dim(lam)
     if not rep.images:
         return d
-    ident = ExactMatrix.identity(rep.field, d)
-    # the inverse image lifts from the SL2 adjugate
-    dual_blocks = [weight_rep([sl2_inverse(g) for g in tup], lam).transpose() - ident
-                   for tup in rep.images]
-    return d - rank_exact(vstack(dual_blocks))
+
+    def inverse_transpose(g: ScaledMatrix) -> ScaledMatrix:
+        a, b, c, e = g.entries
+        neg_b, neg_c = tuple(-x for x in b), tuple(-x for x in c)
+        return ScaledMatrix(g.field, 2, 2, g.den, (e, neg_c, neg_b, a))
+
+    # Sym(g^-T) = B Sym(g^-1)^T B^-1 with one diagonal B for all blocks: the dual action's rank
+    dual = [[inverse_transpose(g) for g in tup] for tup in rep.scaled_images]
+    return d - _scaled_boundary(rep.field, dual, lam).rank()

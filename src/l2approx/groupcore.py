@@ -38,9 +38,6 @@ class Word:
     def length(self) -> int:
         return len(self.letters)
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def __mul__(self, other: "Word") -> "Word":
         return free_reduce(self.letters + other.letters)
 
@@ -212,9 +209,6 @@ class GroupAlgebraElement:
                 elif c:
                     acc[w] = c
         return GroupAlgebraElement.from_dict(self.field, acc)
-
-    def word_mul_left(self, w: Word) -> "GroupAlgebraElement":
-        return GroupAlgebraElement.from_dict(self.field, {w * u: c for u, c in self.terms})
 
     def scalar_mul(self, c: Union[int, Fraction, FieldElement]) -> "GroupAlgebraElement":
         ce = c if isinstance(c, FieldElement) else self.field.from_rational(as_fraction(c))

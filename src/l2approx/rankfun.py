@@ -217,30 +217,51 @@ def _clean_cell(field: NumberField, cell: Mapping) -> dict:
     return out
 
 
-def _regular_blocks(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequence) -> ScaledMatrix:
-    """Left regular representation blocks over the listed elements."""
+def _regular_rep(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequence,
+                 center: Sequence, chi: Mapping) -> tuple[ScaledMatrix, int]:
+    """Left regular representation of `a` on the group algebra of the listed
+    elements modulo the central character chi, and the transversal size m.
+
+    The basis is a transversal of Q/Z, each z in Z acting as the scalar
+    chi(z); with Z trivial this is the plain left regular representation.
+    """
     field = a.field
-    q = len(elements)
-    index = {g: k for k, g in enumerate(elements)}
-    for cell in a.entries:
-        for g in cell:
-            if g not in index:
-                raise StructuralError("matrix support escapes the listed elements")
-    den, vectors = scaled_vectors([c for cell in a.entries for c in cell.values()])
+    # coset decomposition g * z -> (transversal index, center index); g * 1
+    # needs no group multiplication, which is all of it for a trivial center
+    identity = ops.identity
+    transversal: list = []
+    coset: dict = {}
+    for g in elements:
+        if g in coset:
+            continue
+        for zi, z in enumerate(center):
+            coset[g if z == identity else ops.mul(g, z)] = (len(transversal), zi)
+        transversal.append(g)
+    m = len(transversal)
+    if m * len(center) != len(elements):
+        raise StructuralError("central subgroup does not evenly tile the element list")
+    # every coefficient c * chi(z) in integer coordinates over one denominator,
+    # held per support element as a list indexed by center position
+    values = [chi[z] for z in center]
+    den, vectors = scaled_vectors([c * x for cell in a.entries for c in cell.values()
+                                   for x in values])
     coeffs = iter(vectors)
-    cells = [[(g, next(coeffs)) for g in cell] for cell in a.entries]
-    out_rows = a.rows * q
-    out_cols = a.cols * q
+    cells = [[(g, [next(coeffs) for _ in values]) for g in cell] for cell in a.entries]
+    out_rows, out_cols = a.rows * m, a.cols * m
     flat = [(0,) * field.degree] * (out_rows * out_cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            cell = cells[i * a.cols + j]
-            for v_idx, v in enumerate(elements):
-                col = j * q + v_idx
-                for g, c in cell:
-                    k = (i * q + index[ops.mul(g, v)]) * out_cols + col
-                    flat[k] = tuple(x + y for x, y in zip(flat[k], c))
-    return ScaledMatrix(field, out_rows, out_cols, den, tuple(flat))
+    try:
+        for idx, cell in enumerate(cells):
+            i, j = divmod(idx, a.cols)
+            base = i * m * out_cols + j * m
+            for g, vecs in cell:
+                for col, t in enumerate(transversal):
+                    row, zi = coset[ops.mul(g, t)]
+                    at = base + row * out_cols + col
+                    flat[at] = tuple(x + y for x, y in zip(flat[at], vecs[zi]))
+    except KeyError:
+        raise StructuralError("matrix support escapes the listed elements: some g * t "
+                              "with g in the support is not listed") from None
+    return ScaledMatrix(field, out_rows, out_cols, den, tuple(flat)), m
 
 
 def finite_vn_rank(a: FiniteAlgebraMatrix, ops: GroupOps, *,
@@ -254,18 +275,17 @@ def finite_vn_rank(a: FiniteAlgebraMatrix, ops: GroupOps, *,
     """
     if a.rows == 0 or a.cols == 0:
         return Fraction(0)
+    limit = memory_cap(cap)
+    span = max(a.rows, a.cols)
     if elements is None:
-        limit = memory_cap(cap)
-        span = max(a.rows, a.cols)
-        elements = subgroup_closure(ops, a.support(), max(1, limit // max(1, span)))
+        elements = subgroup_closure(ops, a.support(), max(1, limit // span))
     else:
         elements = list(elements)
-        limit = memory_cap(cap)
-        if len(elements) * max(a.rows, a.cols) > limit:
+        if len(elements) * span > limit:
             raise MemoryCapError(
-                f"|Q| * max(r, s) = {len(elements) * max(a.rows, a.cols)} exceeds the cap ({limit})")
-    mat = _regular_blocks(a, ops, elements)
-    return Fraction(mat.rank(), len(elements))
+                f"|Q| * max(r, s) = {len(elements) * span} exceeds the cap ({limit})")
+    mat, m = _regular_rep(a, ops, elements, [ops.identity], {ops.identity: a.field.one})
+    return Fraction(mat.rank(), m)
 
 
 def twisted_finite_rank(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequence,
@@ -292,39 +312,9 @@ def twisted_finite_rank(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequenc
     chi_e = {}
     for z in center:
         v = chi[z]
-        ve = v if isinstance(v, FieldElement) else field.from_rational(as_fraction(v))
-        chi_e[z] = ve
+        chi_e[z] = v if isinstance(v, FieldElement) else field.from_rational(as_fraction(v))
     _check_character(ops, center, chi_e, field)
-    # transversal and coset decomposition g = t * z
-    transversal: list = []
-    decomp: dict = {}
-    for g in elements:
-        if g in decomp:
-            continue
-        transversal.append(g)
-        for z in center:
-            decomp[ops.mul(g, z)] = (g, z)
-    if len(transversal) * len(center) != len(elements):
-        raise StructuralError("central subgroup does not evenly tile the element list")
-    m = len(transversal)
-    index = {t: k for k, t in enumerate(transversal)}
-    # every coefficient c * chi(z) in integer coordinates over one denominator
-    products = {(k, g, z): c * chi_e[z] for k, cell in enumerate(a.entries)
-                for g, c in cell.items() for z in center}
-    den, vectors = scaled_vectors(list(products.values()))
-    scaled = dict(zip(products, vectors))
-    out_rows, out_cols = a.rows * m, a.cols * m
-    flat = [(0,) * field.degree] * (out_rows * out_cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            k = i * a.cols + j
-            for t_idx, t in enumerate(transversal):
-                col = j * m + t_idx
-                for g in a.entries[k]:
-                    t2, z = decomp[ops.mul(g, t)]
-                    pos = (i * m + index[t2]) * out_cols + col
-                    flat[pos] = tuple(x + y for x, y in zip(flat[pos], scaled[k, g, z]))
-    mat = ScaledMatrix(field, out_rows, out_cols, den, tuple(flat))
+    mat, m = _regular_rep(a, ops, elements, center, chi_e)
     return Fraction(mat.rank(), m)
 
 

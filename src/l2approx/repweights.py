@@ -43,10 +43,6 @@ def weight_dim(lam: Sequence[int]) -> int:
     return math.prod(v + 1 for v in lam)
 
 
-def min_weight(lam: Sequence[int]) -> int:
-    return min(lam)
-
-
 def _det2(g: ExactMatrix) -> FieldElement:
     return g.entry(0, 0) * g.entry(1, 1) - g.entry(0, 1) * g.entry(1, 0)
 
@@ -269,12 +265,6 @@ class RepAssignment:
         """Per-generator matrices on the weight module (no parity gate here)."""
         lam = validate_weight(lam)
         return [weight_rep(tup, lam) for tup in self.images]
-
-
-def sl2_inverse(g: ExactMatrix) -> ExactMatrix:
-    """Inverse of a determinant-one 2x2 matrix: its adjugate."""
-    return ExactMatrix.from_rows(g.field, [[g.entry(1, 1), -g.entry(0, 1)],
-                                           [-g.entry(1, 0), g.entry(0, 0)]])
 
 
 def _scaled_word_image(factor_images: Sequence[ScaledMatrix], w: Word,

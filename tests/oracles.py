@@ -220,3 +220,31 @@ def fraction_evaluate(a, rep, lam) -> ExactMatrix:
                         k = (i * d + bi) * out_cols + j * d + bj
                         flat[k] = flat[k] + c * img.entry(bi, bj)
     return ExactMatrix(field, a.rows * d, out_cols, tuple(flat))
+
+
+def dense_regular_rank(a, ops, elements, center=None, chi=None) -> Fraction:
+    """Normalized rank of a finite group-algebra matrix on the regular module,
+    from a dense `FieldElement` matrix over the full element list ranked by
+    `exact_matrix_rank_oracle`.
+
+    With a central character chi on `center`, every cell is first multiplied
+    by sum_z chi(z^-1) z, a multiple of the central idempotent onto the
+    chi-summand, which has dimension |Q| / |Z|; no transversal is chosen.
+    """
+    field = a.field
+    center = center or [ops.identity]
+    chi = chi or {ops.identity: field.one}
+    q = len(elements)
+    index = {g: k for k, g in enumerate(elements)}
+    out_cols = a.cols * q
+    flat = [field.zero] * (a.rows * q * out_cols)
+    for i in range(a.rows):
+        for j in range(a.cols):
+            for g, c in a.entry(i, j).items():
+                for z in center:
+                    h, coef = ops.mul(g, z), c * chi[ops.inv(z)]
+                    for v_idx, v in enumerate(elements):
+                        k = (i * q + index[ops.mul(h, v)]) * out_cols + j * q + v_idx
+                        flat[k] = flat[k] + coef
+    m = ExactMatrix(field, a.rows * q, out_cols, tuple(flat))
+    return Fraction(exact_matrix_rank_oracle(m) * len(center), q)

@@ -160,6 +160,14 @@ class TestErrors:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_empty_levels_range_rejected(self, tmp_path, capsys):
+        rc = main(["--mode", "harris", "--p", "3", "--levels", "3:1",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: ConfigError: --levels START:END needs START <= END, got '3:1'\n"
+        assert not (tmp_path / "x.csv").exists()
+
 
     @pytest.mark.parametrize("flag, value", [("--rows", "0"), ("--cols", "0"),
                                              ("--rows", "-2"), ("--word-len", "-1")])

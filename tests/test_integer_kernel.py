@@ -6,6 +6,7 @@ references in `oracles.py`, over Q with non-integral entries, Q(w), the cubic
 field c^3 = 2 and fields whose minimal polynomial is not integral.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -14,7 +15,8 @@ import pytest
 from l2approx.census import builtin_entry
 from l2approx.exactalg import (ExactMatrix, InvariantError, NumberField, QQ, ScaledMatrix,
                                product_is_zero, rank_exact, scaled_vectors, vstack)
-from l2approx.foxhomology import fox_jacobian, homology_dims, presentation_complex
+from l2approx.foxhomology import (coinvariants_dim, fox_jacobian, homology_dims,
+                                  presentation_complex)
 from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
                                 free_reduce)
 from l2approx.padicharris import diagonal_element_images
@@ -116,6 +118,27 @@ def test_figure_eight_complex_matches_fraction_reference(fig8):
         assert J == fraction_evaluate(fox_jacobian(p, rep.field), rep, lam)
         ident = ExactMatrix.identity(rep.field, lam[0] + 1)
         assert D == vstack([fraction_weight_rep(tup, lam) - ident for tup in rep.images])
+
+
+def test_coinvariants_match_the_dual_action_reference(fig8, whitehead, c2, z_entry):
+    # d - rank of the stacked blocks rho(g^-1)^T - Id, in Fraction coordinates
+    def adjugate(g):
+        return ExactMatrix.from_rows(g.field, [[g.entry(1, 1), -g.entry(0, 1)],
+                                               [-g.entry(1, 0), g.entry(0, 0)]])
+
+    # one generator of order 4, a hyperbolic one and one of order 6 have
+    # invariants that depend on the weight
+    cyclic = [RepAssignment.build(GroupPresentation(("t",), ()),
+                                  [[ExactMatrix.from_rows(QQ, m)]])
+              for m in ([[0, -1], [1, 0]], [[2, 1], [1, 1]], [[1, 1], [-1, 0]])]
+    rng = random.Random(114)
+    for rep in [fig8.rep, whitehead.rep, c2.rep, z_entry.rep, free_rep(QR, rng, n=2)] + cyclic:
+        for lam in ((1,), (2,), (4,)) if rep.n == 1 else ((1, 1), (2, 2)):
+            d = math.prod(v + 1 for v in lam)
+            ident = ExactMatrix.identity(rep.field, d)
+            dual = vstack([fraction_weight_rep([adjugate(g) for g in tup], lam).transpose()
+                           - ident for tup in rep.images])
+            assert coinvariants_dim(rep, lam) == d - exact_matrix_rank_oracle(dual)
 
 
 @pytest.mark.parametrize("field", (QW, QH, QR), ids=lambda f: str(f.minpoly))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -16,6 +17,8 @@ from l2approx.rankfun import (AbelianTupleOps, FiniteAlgebraMatrix, FiniteQuotie
                               sylvester_rank, twisted_finite_rank)
 from l2approx.repweights import ParityError, evaluate
 
+from oracles import dense_regular_rank
+
 
 def random_element(rng, field, names, word_len=4, coeff_span=2, terms=3):
     acc = {}
@@ -31,6 +34,22 @@ def random_element(rng, field, names, word_len=4, coeff_span=2, terms=3):
 def random_ga_matrix(rng, field, names, rows, cols, **kw):
     return GroupAlgebraMatrix.from_rows(field, [
         [random_element(rng, field, names, **kw) for _ in range(cols)] for _ in range(rows)])
+
+
+C4 = subgroup_closure(PermutationOps(4), [cyclic_generator(4)], 10)
+
+
+def random_finite_matrix(rng, field, elements, rows, cols):
+    """Random cells of one to three terms over `elements` with unit
+    coefficients (+-1, and +-i over Q(i)), which keeps many cells singular;
+    with three rows the last is the sum of the first two."""
+    units = [field.one, -field.one] + ([field.gen(), -field.gen()] if field.degree > 1 else [])
+    cells = [[{rng.choice(elements): rng.choice(units) for _ in range(rng.randint(1, 3))}
+              for _ in range(cols)] for _ in range(rows)]
+    if rows == 3:
+        cells[2] = [{g: x.get(g, field.zero) + y.get(g, field.zero) for g in {**x, **y}}
+                    for x, y in zip(cells[0], cells[1])]
+    return FiniteAlgebraMatrix.from_rows(field, cells)
 
 
 class TestSylvesterRank:
@@ -199,6 +218,18 @@ class TestFiniteVnRank:
                 [{}] * a.cols + [b.entry(i, j) for j in range(b.cols)] for i in range(b.rows)])
             assert finite_vn_rank(tri, ops) >= rka + rkb
 
+    @pytest.mark.parametrize("ops, elements", [
+        (PermutationOps(3), list(itertools.permutations(range(3)))),
+        (AbelianTupleOps((4, 4)), list(itertools.product(range(4), repeat=2)))],
+        ids=["S3", "Z4xZ4"])
+    def test_matches_dense_regular_representation(self, ops, elements):
+        rng = random.Random(50)
+        for rows, cols in ((1, 1), (2, 3), (3, 2), (3, 1)):
+            a = random_finite_matrix(rng, QQ, elements, rows, cols)
+            expected = dense_regular_rank(a, ops, elements)
+            assert finite_vn_rank(a, ops) == expected
+            assert finite_vn_rank(a, ops, elements=elements) == expected
+
     def test_memory_cap(self):
         ops = PermutationOps(64)
         g = cyclic_generator(64)
@@ -268,6 +299,32 @@ class TestTwistedRank:
                 avg = sum(twisted_finite_rank(a, ops, elements, center, chi)
                           for chi in chars) / zorder
                 assert avg == full
+
+    @pytest.mark.parametrize("ops, elements, center", [
+        (PermutationOps(4), C4, C4),
+        (AbelianTupleOps((4, 2)), list(itertools.product(range(4), range(2))),
+         [(k, 0) for k in range(4)])], ids=["C4", "C4xC2"])
+    def test_q_i_characters_match_dense_idempotent_projection(self, ops, elements, center):
+        field, zeta = cyclotomic_field(4)
+        chars = characters_of_cyclic(ops, center, zeta)
+        rng = random.Random(51)
+        for rows, cols in ((1, 1), (1, 1), (1, 2), (2, 2), (3, 2)):
+            a = random_finite_matrix(rng, field, elements, rows, cols)
+            for chi in chars:
+                assert twisted_finite_rank(a, ops, elements, center, chi) == \
+                    dense_regular_rank(a, ops, elements, center, chi)
+
+    @pytest.mark.parametrize("elements", [
+        [(0, 1, 2), (1, 0, 2)],  # the support element (1, 2, 0) is not listed
+        [(0, 1, 2), (1, 2, 0)],  # it is, but its square is not
+    ], ids=["support", "closure"])
+    def test_support_escaping_the_elements_is_a_structural_error(self, elements):
+        ops = PermutationOps(3)
+        a = FiniteAlgebraMatrix.single(QQ, {(1, 2, 0): 1})
+        with pytest.raises(StructuralError, match="escapes the listed elements"):
+            twisted_finite_rank(a, ops, elements, [ops.identity], {ops.identity: 1})
+        with pytest.raises(StructuralError, match="escapes the listed elements"):
+            finite_vn_rank(a, ops, elements=elements)
 
     def test_non_central_subgroup_rejected(self):
         qops = QuaternionOps()

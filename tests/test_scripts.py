@@ -1,0 +1,25 @@
+"""Smoke tests: each experiment script under scripts/ runs to completion with
+its default arguments and prints a known line."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script, line", [
+    ("run_figure_eight.py", "   20   21  (0, 1, 1)  1/21"),
+    ("run_harris_p3.py", "    4  19683      26/27      1/27       1/27"),
+    ("run_parity_example.py",
+     "twisted rank of g - 1: trivial character -> 0, sign character -> 1"),
+], ids=["figure-eight", "harris-p3", "parity"])
+def test_script_runs(script, line):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout.splitlines()
