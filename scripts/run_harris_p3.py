@@ -8,7 +8,7 @@ Usage: python scripts/run_harris_p3.py [MAX_LEVEL] [SEED]
 import sys
 from fractions import Fraction
 
-from l2approx.exactalg import ExactMatrix, QQ
+from l2approx.exactalg import QQ, ScaledMatrix
 from l2approx.cli import random_matrix
 from l2approx.foxhomology import boundary_stack
 from l2approx.groupcore import GroupPresentation
@@ -41,8 +41,8 @@ def main() -> int:
                          target=Fraction(1)))
 
     pres2 = GroupPresentation(("u", "l"), ())
-    images = [[ExactMatrix.from_rows(QQ, [[1, P], [0, 1]])],
-              [ExactMatrix.from_rows(QQ, [[1, 0], [P, 1]])]]
+    images = [[ScaledMatrix.from_rows(QQ, [[1, P], [0, 1]])],
+              [ScaledMatrix.from_rows(QQ, [[1, 0], [P, 1]])]]
     a = random_matrix(pres2.generator_names, QQ, 1, 1, 3, seed)
     nonzero = any(bool(e) for e in a.entries)
     # random short-support elements can hit the full quotient; keep levels shallow

@@ -1,8 +1,7 @@
 """Exact rank functions, twisted homology dimensions, and finite-quotient
 approximation experiments for groups inside products of SL2."""
 
-from .exactalg import (ExactMatrix, FieldElement, NumberField, QQ, Rational,
-                       companion_embed, rank_exact)
+from .exactalg import FieldElement, NumberField, QQ, Rational, ScaledMatrix
 from .groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
                         IDENTITY_WORD, Word, free_reduce, word_from_string)
 from .repweights import (ParityError, RepAssignment, WeightVector,

@@ -41,7 +41,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .exactalg import ExactMatrix, NumberField
+from .exactalg import NumberField, ScaledMatrix
 from .groupcore import GroupPresentation, word_from_string
 from .repweights import RepAssignment, validate_weight
 
@@ -157,10 +157,10 @@ def build_presentation(meta: dict, path: str = "<presentation>") -> GroupPresent
 
 
 def parse_representation(text: str, generator_names: Sequence[str],
-                         path: str = "<representation>") -> tuple[NumberField, list[list[ExactMatrix]]]:
+                         path: str = "<representation>") -> tuple[NumberField, list[list[ScaledMatrix]]]:
     field: Optional[NumberField] = None
     factors = 1
-    images: dict[tuple[str, int], ExactMatrix] = {}
+    images: dict[tuple[str, int], ScaledMatrix] = {}
     for line in _content_lines(text):
         key, value = _key_value(line, path)
         if key == "field":
@@ -188,12 +188,12 @@ def parse_representation(text: str, generator_names: Sequence[str],
             for cell in cells:
                 coeffs = [Fraction(c.strip()) for c in cell.split(",")] if cell else [Fraction(0)]
                 vals.append(field.element(coeffs))
-            images[(gen, fj)] = ExactMatrix.from_rows(field, [[vals[0], vals[1]], [vals[2], vals[3]]])
+            images[(gen, fj)] = ScaledMatrix.from_rows(field, [vals[:2], vals[2:]])
         else:
             raise CensusFormatError(f"{path}: unknown key {key!r}")
     if field is None:
         raise CensusFormatError(f"{path}: missing field line")
-    table: list[list[ExactMatrix]] = []
+    table: list[list[ScaledMatrix]] = []
     for gen in generator_names:
         row = []
         for fj in range(1, factors + 1):

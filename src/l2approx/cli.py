@@ -19,13 +19,13 @@ import random
 import re
 import sys
 import typing
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import census, foxhomology, limitlab, padicharris, rankfun
-from .exactalg import InvariantError, StructuralError
+from .exactalg import InvariantError, QQ, ScaledMatrix, StructuralError
 from .groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
                         IDENTITY_WORD, free_reduce, word_from_string)
 from .limitlab import _dec
@@ -40,27 +40,35 @@ class ConfigError(ValueError):
     pass
 
 
+def _flag(default, help: Optional[str] = None, **argparse_kw):
+    return dc_field(default=default, metadata=dict(argparse_kw, help=help))
+
+
 @dataclass
 class ExperimentConfig:
-    mode: str = ""
-    entry: str = ""
-    presentation: str = ""
-    representation: str = ""
-    weights: str = ""          # START:END:STEP
-    direction: str = ""        # comma-separated positive integers
-    degree: Optional[int] = None
-    matrix: str = ""           # fox-jacobian | boundary-stack | file | random
+    """One experiment.  Every field is a config-file key and the flag of the
+    same name with dashes for underscores; an `int` field's flag is typed
+    `int`, and the field metadata holds the flag's other argparse keywords."""
+
+    mode: str = _flag("", choices=MODES)
+    entry: str = _flag("", "builtin census entry name")
+    presentation: str = _flag("", "presentation file (with --representation)")
+    representation: str = _flag("", "representation file (with --presentation)")
+    weights: str = _flag("", metavar="START:END:STEP")
+    direction: str = _flag("", "comma-separated weight direction, default all ones")
+    degree: Optional[int] = _flag(None, choices=(0, 1, 2))
+    matrix: str = _flag("", choices=MATRIX_SOURCES)
     matrix_file: str = ""
     rows: Optional[int] = None
     cols: Optional[int] = None
     word_len: Optional[int] = None
     seed: Optional[int] = None
     p: Optional[int] = None
-    levels: str = ""           # comma list or START:END
-    quotients: str = ""        # comma list of moduli for luck mode
-    element: str = ""          # harris element family
-    target: str = ""           # optional rational override
-    out: str = ""
+    levels: str = _flag("", "comma list or START:END")
+    quotients: str = _flag("", "comma list of cyclic moduli (luck mode)")
+    element: str = _flag("", choices=HARRIS_ELEMENTS)
+    target: str = _flag("", "rational comparison target")
+    out: str = _flag("", "CSV output path")
 
     def merged_with_flags(self, other: "ExperimentConfig") -> "ExperimentConfig":
         """Overlay non-default flag values on top of this config (flags win)."""
@@ -103,33 +111,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="l2approx",
         description="exact rank / twisted homology / finite-quotient approximation experiments")
     ap.add_argument("--config", default=None, help="flat key=value config file; flags win on conflict")
-    ap.add_argument("--mode", choices=MODES, default=None)
-    ap.add_argument("--entry", default=None, help="builtin census entry name")
-    ap.add_argument("--presentation", default=None, help="presentation file (with --representation)")
-    ap.add_argument("--representation", default=None, help="representation file (with --presentation)")
-    ap.add_argument("--weights", default=None, metavar="START:END:STEP")
-    ap.add_argument("--direction", default=None, help="comma-separated weight direction, default all ones")
-    ap.add_argument("--degree", type=int, default=None, choices=(0, 1, 2))
-    ap.add_argument("--matrix", choices=MATRIX_SOURCES, default=None)
-    ap.add_argument("--matrix-file", dest="matrix_file", default=None)
-    ap.add_argument("--rows", type=int, default=None)
-    ap.add_argument("--cols", type=int, default=None)
-    ap.add_argument("--word-len", dest="word_len", type=int, default=None)
-    ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--p", type=int, default=None)
-    ap.add_argument("--levels", default=None, help="comma list or START:END")
-    ap.add_argument("--quotients", default=None, help="comma list of cyclic moduli (luck mode)")
-    ap.add_argument("--element", choices=HARRIS_ELEMENTS, default=None)
-    ap.add_argument("--target", default=None, help="rational comparison target")
-    ap.add_argument("--out", default=None, help="CSV output path")
+    for f in dc_fields(ExperimentConfig):
+        ap.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
+                        type=None if _FIELD_TYPES[f.name] is str else int, **f.metadata)
     return ap
 
 
 def config_from_args(argv: Sequence[str]) -> ExperimentConfig:
     ns = build_arg_parser().parse_args(argv)
-    flags = ExperimentConfig(**{name: (getattr(ns, name) if getattr(ns, name) is not None
-                                       else ("" if kind is str else None))
-                                for name, kind in _FIELD_TYPES.items()})
+    flags = ExperimentConfig(**{name: value for name, value in vars(ns).items()
+                                if name != "config" and value is not None})
     if ns.config:
         return parse_config_file(ns.config).merged_with_flags(flags)
     return flags
@@ -292,13 +283,13 @@ def _schedule(cfg: ExperimentConfig, entry: census.CensusEntry) -> limitlab.Weig
     return limitlab.weight_schedule(direction, ks, rep=entry.rep)
 
 
-def _target(cfg: ExperimentConfig, entry: Optional[census.CensusEntry],
-            degree: Optional[int]) -> Optional[Fraction]:
-    if cfg.target:
-        return Fraction(cfg.target)
-    if entry is not None and degree is not None and entry.targets is not None:
-        return entry.targets[degree]
-    return None
+def _parse_target(spec: str) -> Optional[Fraction]:
+    if not spec:
+        return None
+    try:
+        return Fraction(spec)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"--target must be a rational such as 1/2, got {spec!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +307,16 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[str, str]:
                                ("--word-len", cfg.word_len, 0)):
         if value is not None and value < least:
             raise ConfigError(f"{flag} must be at least {least}, got {value}")
+    target = _parse_target(cfg.target)
     if cfg.mode == "homology":
         return _run_homology(cfg)
     if cfg.mode == "rank":
-        return _run_rank(cfg)
+        return _run_rank(cfg, target)
     if cfg.mode == "limit":
-        return _run_limit(cfg)
+        return _run_limit(cfg, target)
     if cfg.mode == "luck":
-        return _run_luck(cfg)
-    return _run_harris(cfg)
+        return _run_luck(cfg, target)
+    return _run_harris(cfg, target)
 
 
 def _run_homology(cfg: ExperimentConfig) -> tuple[str, str]:
@@ -347,11 +339,10 @@ def _run_homology(cfg: ExperimentConfig) -> tuple[str, str]:
     return "\n".join(lines) + "\n", "\n".join(summary) + "\n"
 
 
-def _run_rank(cfg: ExperimentConfig) -> tuple[str, str]:
+def _run_rank(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[str, str]:
     entry = _resolve_entry(cfg)
     sched = _schedule(cfg, entry)
     a = _build_matrix(cfg, entry)
-    target = _target(cfg, None, None)
     lines = [CSV_HEADER]
     summary = [f"mode: rank", f"entry: {entry.name}",
                f"matrix: {cfg.matrix or 'boundary-stack'} ({a.rows}x{a.cols})"]
@@ -372,12 +363,13 @@ def _run_rank(cfg: ExperimentConfig) -> tuple[str, str]:
     return "\n".join(lines) + "\n", "\n".join(summary) + "\n"
 
 
-def _run_limit(cfg: ExperimentConfig) -> tuple[str, str]:
+def _run_limit(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[str, str]:
     entry = _resolve_entry(cfg)
     if cfg.degree is None:
         raise ConfigError("limit mode needs --degree 0|1|2")
     sched = _schedule(cfg, entry)
-    target = _target(cfg, entry, cfg.degree)
+    if target is None and entry.targets is not None:
+        target = entry.targets[cfg.degree]
     rpt = limitlab.betti_estimate(entry.presentation, entry.rep, sched, cfg.degree,
                                   target=target, aspherical=entry.aspherical)
     lines = [CSV_HEADER]
@@ -389,7 +381,7 @@ def _run_limit(cfg: ExperimentConfig) -> tuple[str, str]:
     return "\n".join(lines) + "\n", "\n".join(summary) + "\n"
 
 
-def _run_luck(cfg: ExperimentConfig) -> tuple[str, str]:
+def _run_luck(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[str, str]:
     entry = _resolve_entry(cfg)
     if not cfg.quotients:
         raise ConfigError("luck mode needs --quotients m1,m2,... (cyclic power moduli)")
@@ -402,7 +394,6 @@ def _run_luck(cfg: ExperimentConfig) -> tuple[str, str]:
     a = _build_matrix(cfg, entry)
     chain = [rankfun.cyclic_power_quotient(entry.presentation, m) for m in moduli]
     values = rankfun.luck_sequence(a, chain)
-    target = Fraction(cfg.target) if cfg.target else None
     lines = [CSV_HEADER]
     summary = [f"mode: luck", f"entry: {entry.name}",
                f"matrix: {cfg.matrix or 'boundary-stack'} ({a.rows}x{a.cols})"]
@@ -414,7 +405,7 @@ def _run_luck(cfg: ExperimentConfig) -> tuple[str, str]:
     return "\n".join(lines) + "\n", "\n".join(summary) + "\n"
 
 
-def _run_harris(cfg: ExperimentConfig) -> tuple[str, str]:
+def _run_harris(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[str, str]:
     if cfg.p is None:
         raise ConfigError("harris mode needs --p (an odd prime)")
     if not cfg.levels:
@@ -436,15 +427,12 @@ def _run_harris(cfg: ExperimentConfig) -> tuple[str, str]:
         if cfg.seed is None:
             raise ConfigError("harris element 'random' needs an explicit --seed")
         pres = GroupPresentation(("u", "l"), ())
-        from .exactalg import ExactMatrix, QQ
-        images = [[ExactMatrix.from_rows(QQ, [[1, p], [0, 1]])],
-                  [ExactMatrix.from_rows(QQ, [[1, 0], [p, 1]])]]
+        images = [[ScaledMatrix.from_rows(QQ, [[1, p], [0, 1]])],
+                  [ScaledMatrix.from_rows(QQ, [[1, 0], [p, 1]])]]
         a = random_matrix(pres.generator_names, QQ, 1, 1,
                           3 if cfg.word_len is None else cfg.word_len, cfg.seed)
         label = f"random short-support element (seed {cfg.seed})"
-    if cfg.target:
-        target = Fraction(cfg.target)
-    else:
+    if target is None:
         # known limit: 1 for a nonzero element, 0 for the zero element
         nonzero = any(bool(e) for e in a.entries)
         target = Fraction(1) if (a.rows == a.cols == 1 and nonzero) else None

@@ -1,11 +1,10 @@
 """Exact arithmetic over Q and number fields Q(alpha), plus exact matrix rank.
 
-Everything here is exact.  `FieldElement` and `ExactMatrix` hold `Fraction`
-coordinates in the power basis of Q(alpha), reduced modulo a monic minimal
-polynomial; they are the public boundary.  Heavy work runs in integer
-coordinates instead: a `ScaledMatrix` stores every entry as a vector of
-Python ints over one common denominator, products use an integer power
-table, and `embed` turns it into integer rows over Q for the fraction-free
+Everything here is exact.  A `FieldElement` holds `Fraction` coordinates in
+the power basis of Q(alpha), reduced modulo a monic minimal polynomial.  The
+one matrix type, `ScaledMatrix`, stores every entry as a vector of Python
+ints over one common denominator; products use an integer power table, and
+`embed` turns a matrix into integer rows over Q for the fraction-free
 elimination kernel `rank_rows` and the exact zero test `product_is_zero`.
 Nothing divides in Q(alpha), and no floating point is used on any rank path.
 """
@@ -215,11 +214,6 @@ class FieldElement:
                         conv[i + j] += ai * bj
         return FieldElement(self.field, self.field._reduce(conv))
 
-    def rational_value(self) -> Fraction:
-        if any(self.coeffs[1:]):
-            raise StructuralError("field element is not rational")
-        return self.coeffs[0]
-
     def __repr__(self) -> str:
         if not self:
             return "0"
@@ -233,136 +227,6 @@ class FieldElement:
                 var = "a" if k == 1 else f"a^{k}"
                 parts.append(f"{c}*{var}" if c != 1 else var)
         return " + ".join(parts)
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Dense matrix with FieldElement entries over a single number field."""
-
-    field: NumberField
-    rows: int
-    cols: int
-    entries: tuple[FieldElement, ...]  # row-major
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise StructuralError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise StructuralError("entry count does not match shape")
-        for e in self.entries:
-            if e.field != self.field:
-                raise FieldMismatchError("matrix entries over inconsistent fields")
-
-    @staticmethod
-    def from_rows(field: NumberField, rows: Sequence[Sequence[Coeffish]]) -> "ExactMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise StructuralError("ragged rows")
-            for v in row:
-                flat.append(v if isinstance(v, FieldElement) else field.from_rational(as_fraction(v)))
-        return ExactMatrix(field, r, c, tuple(flat))
-
-    @staticmethod
-    def identity(field: NumberField, n: int) -> "ExactMatrix":
-        z, o = field.zero, field.one
-        return ExactMatrix(field, n, n, tuple(o if i == j else z for i in range(n) for j in range(n)))
-
-    @staticmethod
-    def zeros(field: NumberField, r: int, c: int) -> "ExactMatrix":
-        return ExactMatrix(field, r, c, (field.zero,) * (r * c))
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.entries[i * self.cols + j]
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise StructuralError("shape mismatch in matrix addition")
-        return ExactMatrix(self.field, self.rows, self.cols,
-                           tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise StructuralError("shape mismatch in matrix subtraction")
-        return ExactMatrix(self.field, self.rows, self.cols,
-                           tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, self.rows, self.cols, tuple(-a for a in self.entries))
-
-    def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.field != other.field:
-            raise FieldMismatchError("matrix product over different fields")
-        if self.cols != other.rows:
-            raise StructuralError("inner dimensions do not match")
-        z = self.field.zero
-        a, b = self.entries, other.entries
-        n, m, p = self.rows, self.cols, other.cols
-        flat = []
-        for i in range(n):
-            arow = a[i * m:(i + 1) * m]
-            for j in range(p):
-                acc = z
-                for k in range(m):
-                    aik = arow[k]
-                    if aik:
-                        bkj = b[k * p + j]
-                        if bkj:
-                            acc = acc + aik * bkj
-                flat.append(acc)
-        return ExactMatrix(self.field, n, p, tuple(flat))
-
-    def scalar_mul(self, c: FieldElement) -> "ExactMatrix":
-        return ExactMatrix(self.field, self.rows, self.cols, tuple(c * e for e in self.entries))
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, self.cols, self.rows,
-                           tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)))
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.field != other.field:
-            raise FieldMismatchError("Kronecker product over different fields")
-        r, c = self.rows * other.rows, self.cols * other.cols
-        flat = [None] * (r * c)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.entry(i, j)
-                for k in range(other.rows):
-                    base = (i * other.rows + k) * c + j * other.cols
-                    for l in range(other.cols):
-                        flat[base + l] = a * other.entry(k, l)
-        return ExactMatrix(self.field, r, c, tuple(flat))
-
-
-def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    field, cols = mats[0].field, mats[0].cols
-    for m in mats:
-        if m.field != field or m.cols != cols:
-            raise StructuralError("vstack needs equal column counts over one field")
-    flat = []
-    for m in mats:
-        flat.extend(m.entries)
-    return ExactMatrix(field, sum(m.rows for m in mats), cols, tuple(flat))
-
-
-def block_diag(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    field = mats[0].field
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = [[field.zero] * cols for _ in range(rows)]
-    ro = co = 0
-    for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[ro + i][co + j] = m.entry(i, j)
-        ro += m.rows
-        co += m.cols
-    return ExactMatrix(field, rows, cols, tuple(v for row in out for v in row))
 
 
 def scaled_vectors(elems: Sequence[FieldElement]) -> tuple[int, list[tuple[int, ...]]]:
@@ -387,14 +251,22 @@ class ScaledMatrix:
     entries: tuple[tuple[int, ...], ...]  # row-major
 
     @staticmethod
-    def from_exact(m: ExactMatrix) -> "ScaledMatrix":
-        den, vectors = scaled_vectors(m.entries)
-        return ScaledMatrix(m.field, m.rows, m.cols, den, tuple(vectors))
-
-    def to_exact(self) -> ExactMatrix:
-        field, den = self.field, self.den
-        return ExactMatrix(field, self.rows, self.cols, tuple(
-            FieldElement(field, tuple(Fraction(x, den) for x in v)) for v in self.entries))
+    def from_rows(field: NumberField, rows: Sequence[Sequence[Coeffish]]) -> "ScaledMatrix":
+        """Matrix from rows of ints, Fractions or `FieldElement`s over `field`."""
+        r = len(rows)
+        c = len(rows[0]) if r else 0
+        flat = []
+        for row in rows:
+            if len(row) != c:
+                raise StructuralError("ragged rows")
+            for v in row:
+                if not isinstance(v, FieldElement):
+                    v = field.from_rational(v)
+                elif v.field != field:
+                    raise FieldMismatchError("matrix entries over inconsistent fields")
+                flat.append(v)
+        den, vectors = scaled_vectors(flat)
+        return ScaledMatrix(field, r, c, den, tuple(vectors))
 
     def kron(self, other: "ScaledMatrix") -> "ScaledMatrix":
         if self.field != other.field:
@@ -444,19 +316,6 @@ class ScaledMatrix:
         return rank_rows(self.embed()) // self.field.degree
 
 
-def companion_embed(m: ExactMatrix) -> ExactMatrix:
-    """Replace each Q(alpha) entry by its d x d multiplication matrix over Q.
-
-    The result is a (rows*d) x (cols*d) matrix over Q with
-    rank_exact(result) = d * rank_exact(m).  Degree-1 input is returned as is.
-    """
-    if m.field.degree == 1:
-        return m
-    s = ScaledMatrix.from_exact(m)
-    scale = s.den * m.field.int_scale
-    return ExactMatrix.from_rows(QQ, [[Fraction(x, scale) for x in row] for row in s.embed()])
-
-
 def rank_rows(rows: list[list[int]]) -> int:
     """Exact rank over Q of a matrix given as integer rows.
 
@@ -494,14 +353,6 @@ def rank_rows(rows: list[list[int]]) -> int:
         if rank == nrows:
             break
     return rank
-
-
-def rank_exact(m: ExactMatrix) -> int:
-    """Exact rank of a matrix over Q(alpha): `rank_rows` on its integer
-    companion embedding, divided by the field degree."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return ScaledMatrix.from_exact(m).rank()
 
 
 def product_is_zero(left: Sequence[Sequence[int]], right: Sequence[Sequence[int]]) -> bool:

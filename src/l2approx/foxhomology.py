@@ -21,12 +21,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactalg import (ExactMatrix, InvariantError, NumberField, ScaledMatrix, product_is_zero,
-                       rank_rows)
+from .exactalg import InvariantError, NumberField, ScaledMatrix, product_is_zero, rank_rows
 from .groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
                         IDENTITY_WORD, Word)
-from .repweights import (RepAssignment, WeightVector, _scaled_evaluate, _scaled_weight_rep,
-                         validate_weight, weight_dim)
+from .repweights import (RepAssignment, WeightVector, evaluate, validate_weight, weight_dim,
+                         weight_rep)
 
 
 def fox_derivative(w: Word, j: int, field) -> GroupAlgebraElement:
@@ -84,11 +83,11 @@ def check_fox_identity(p: GroupPresentation, field) -> None:
             raise InvariantError(f"fundamental Fox identity fails for relator {rel!r}")
 
 
-def _scaled_boundary(field: NumberField, gen_images: Sequence[Sequence[ScaledMatrix]],
-                     lam: WeightVector) -> ScaledMatrix:
+def _boundary(field: NumberField, gen_images: Sequence[Sequence[ScaledMatrix]],
+              lam: WeightVector) -> ScaledMatrix:
     """D: the blocks rho(x_j) - Id for the per-generator, per-factor 2x2 images,
     stacked over one denominator, in integer coordinates."""
-    images = [_scaled_weight_rep(tup, lam) for tup in gen_images]
+    images = [weight_rep(tup, lam) for tup in gen_images]
     d = weight_dim(lam)
     den = math.lcm(*(img.den for img in images))
     entries = []
@@ -102,30 +101,25 @@ def _scaled_boundary(field: NumberField, gen_images: Sequence[Sequence[ScaledMat
     return ScaledMatrix(field, len(images) * d, d, den, tuple(entries))
 
 
-def _scaled_complex(p: GroupPresentation, rep: RepAssignment, lam: Sequence[int]):
-    """(J, D, rows of J, rows of D): the pair in integer coordinates and its
-    integer companion embeddings, with J*D = 0 verified on the rows."""
+def presentation_complex(p: GroupPresentation, rep: RepAssignment, lam: Sequence[int]
+                         ) -> tuple[ScaledMatrix, ScaledMatrix, list[list[int]], list[list[int]]]:
+    """(J, D, rows of J, rows of D): the evaluated pair, J of shape (r*d, g*d)
+    and D of shape (g*d, d), and their integer companion embeddings.
+
+    Requires the relator-sign parity gate to pass; verifies J*D = 0 exactly
+    on the rows, which `homology_dims` then ranks.
+    """
     lam = rep.check_admissible(lam, central=False)
     d = weight_dim(lam)
-    D = _scaled_boundary(rep.field, rep.scaled_images, lam)
+    D = _boundary(rep.field, rep.images, lam)
     if p.num_relators:
-        J = _scaled_evaluate(fox_jacobian(p, rep.field), rep, lam)
+        J = evaluate(fox_jacobian(p, rep.field), rep, lam)
     else:
         J = ScaledMatrix(rep.field, 0, p.num_generators * d, 1, ())
     j_rows, d_rows = J.embed(), D.embed()
     if not product_is_zero(j_rows, d_rows):
         raise InvariantError("composite J*D is nonzero; presentation and images disagree")
     return J, D, j_rows, d_rows
-
-
-def presentation_complex(p: GroupPresentation, rep: RepAssignment,
-                         lam: Sequence[int]) -> tuple[ExactMatrix, ExactMatrix]:
-    """Evaluated pair (J, D) with J of shape (r*d, g*d) and D of shape (g*d, d).
-
-    Requires the relator-sign parity gate to pass; verifies J*D = 0 exactly.
-    """
-    J, D, _, _ = _scaled_complex(p, rep, lam)
-    return J.to_exact(), D.to_exact()
 
 
 @dataclass(frozen=True)
@@ -152,7 +146,7 @@ def homology_dims(p: GroupPresentation, rep: RepAssignment, lam: Sequence[int],
     if g == 0:
         # trivial group: W itself in degree 0
         return HomologyReport(lam, d, d, 0, 0, 0, 0, aspherical)
-    _, _, j_rows, d_rows = _scaled_complex(p, rep, lam)
+    _, _, j_rows, d_rows = presentation_complex(p, rep, lam)
     rank_d = rank_rows(d_rows) // rep.field.degree
     rank_j = rank_rows(j_rows) // rep.field.degree
     h0 = d - rank_d
@@ -172,7 +166,7 @@ def invariants_dim(rep: RepAssignment, lam: Sequence[int]) -> int:
     d = weight_dim(lam)
     if not rep.images:
         return d
-    return d - _scaled_boundary(rep.field, rep.scaled_images, lam).rank()
+    return d - _boundary(rep.field, rep.images, lam).rank()
 
 
 def coinvariants_dim(rep: RepAssignment, lam: Sequence[int]) -> int:
@@ -189,5 +183,5 @@ def coinvariants_dim(rep: RepAssignment, lam: Sequence[int]) -> int:
         return ScaledMatrix(g.field, 2, 2, g.den, (e, neg_c, neg_b, a))
 
     # Sym(g^-T) = B Sym(g^-1)^T B^-1 with one diagonal B for all blocks: the dual action's rank
-    dual = [[inverse_transpose(g) for g in tup] for tup in rep.scaled_images]
-    return d - _scaled_boundary(rep.field, dual, lam).rank()
+    dual = [[inverse_transpose(g) for g in tup] for tup in rep.images]
+    return d - _boundary(rep.field, dual, lam).rank()

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .exactalg import ExactMatrix, InvariantError, StructuralError
+from .exactalg import InvariantError, QQ, ScaledMatrix, StructuralError
 from .groupcore import GroupAlgebraMatrix, GroupPresentation
 from .rankfun import FiniteQuotientMap, MemoryCapError, luck_rank
 
@@ -112,7 +112,7 @@ def congruence_quotient(p: int, level: int, n: int = 1,
     return CongruenceQuotient(p, level, n, order, ops, elements)
 
 
-def reduce_matrix_mod(g: ExactMatrix, p: int, level: int) -> Mat2:
+def reduce_matrix_mod(g: ScaledMatrix, p: int, level: int) -> Mat2:
     """Reduce a 2x2 matrix with rational entries mod p^level.
 
     Denominators must be coprime to p; the result must be congruent to the
@@ -123,12 +123,13 @@ def reduce_matrix_mod(g: ExactMatrix, p: int, level: int) -> Mat2:
         raise StructuralError("expected a 2x2 matrix")
     m = p ** level
     vals = []
-    for i in range(2):
-        for j in range(2):
-            q = g.entry(i, j).rational_value()
-            if q.denominator % p == 0:
-                raise ValueError(f"entry denominator {q.denominator} is divisible by p = {p}")
-            vals.append(q.numerator * pow(q.denominator, -1, m) % m)
+    for v in g.entries:
+        if any(v[1:]):
+            raise StructuralError("field element is not rational")
+        q = Fraction(v[0], g.den)
+        if q.denominator % p == 0:
+            raise ValueError(f"entry denominator {q.denominator} is divisible by p = {p}")
+        vals.append(q.numerator * pow(q.denominator, -1, m) % m)
     a, b, c, d = vals
     if a % p != 1 or d % p != 1 or b % p != 0 or c % p != 0:
         raise ValueError("matrix image is not congruent to the identity mod p")
@@ -138,7 +139,7 @@ def reduce_matrix_mod(g: ExactMatrix, p: int, level: int) -> Mat2:
 
 
 def congruence_quotient_map(presentation: GroupPresentation,
-                            images: Sequence[Sequence[ExactMatrix]],
+                            images: Sequence[Sequence[ScaledMatrix]],
                             p: int, level: int) -> FiniteQuotientMap:
     """Quotient map onto U_1/U_level from declared generator images in U_1."""
     if not images:
@@ -165,9 +166,8 @@ class HarrisRow:
 
 
 def harris_sequence(a: GroupAlgebraMatrix, presentation: GroupPresentation,
-                    images: Sequence[Sequence[ExactMatrix]], p: int,
-                    levels: Sequence[int], target: Optional[Fraction] = None,
-                    cap: Optional[int] = None) -> list[HarrisRow]:
+                    images: Sequence[Sequence[ScaledMatrix]], p: int,
+                    levels: Sequence[int], target: Optional[Fraction] = None) -> list[HarrisRow]:
     """Normalized ranks of `a` over the congruence quotients at the given
     levels, with the theoretical error envelope recorded per level.
 
@@ -183,7 +183,7 @@ def harris_sequence(a: GroupAlgebraMatrix, presentation: GroupPresentation,
         if level < 1:
             raise StructuralError("levels must be >= 1")
         q = congruence_quotient_map(presentation, images, p, level)
-        value = luck_rank(a, q, cap=cap)
+        value = luck_rank(a, q)
         index = p ** (3 * n * (level - 1))
         envelope = Fraction(1, p ** (level - 1))
         error = abs(value - target) if target is not None else None
@@ -191,17 +191,15 @@ def harris_sequence(a: GroupAlgebraMatrix, presentation: GroupPresentation,
     return rows
 
 
-def unipotent_element_images(p: int, n: int = 1) -> list[list[ExactMatrix]]:
+def unipotent_element_images(p: int, n: int = 1) -> list[list[ScaledMatrix]]:
     """Generator images for the shipped unipotent test element: one generator
     mapping to I + p*E12 in every factor."""
-    from .exactalg import QQ
-    g = ExactMatrix.from_rows(QQ, [[1, p], [0, 1]])
+    g = ScaledMatrix.from_rows(QQ, [[1, p], [0, 1]])
     return [[g for _ in range(n)]]
 
 
-def diagonal_element_images(p: int, n: int = 1) -> list[list[ExactMatrix]]:
+def diagonal_element_images(p: int, n: int = 1) -> list[list[ScaledMatrix]]:
     """Generator images for the shipped diagonal test element:
     diag(1+p, 1/(1+p)) in every factor."""
-    from .exactalg import QQ
-    g = ExactMatrix.from_rows(QQ, [[1 + p, 0], [0, Fraction(1, 1 + p)]])
+    g = ScaledMatrix.from_rows(QQ, [[1 + p, 0], [0, Fraction(1, 1 + p)]])
     return [[g for _ in range(n)]]

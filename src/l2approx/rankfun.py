@@ -24,7 +24,7 @@ from typing import Hashable, Iterable, Mapping, Optional, Protocol, Sequence
 from .exactalg import (FieldElement, NumberField, QQ, ScaledMatrix, StructuralError,
                        as_fraction, scaled_vectors)
 from .groupcore import GroupAlgebraMatrix, GroupPresentation, Word
-from .repweights import RepAssignment, _scaled_evaluate, weight_dim
+from .repweights import RepAssignment, evaluate, weight_dim
 
 RankValue = Fraction
 
@@ -218,13 +218,17 @@ def _clean_cell(field: NumberField, cell: Mapping) -> dict:
 
 
 def _regular_rep(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequence,
-                 center: Sequence, chi: Mapping) -> tuple[ScaledMatrix, int]:
+                 center: Sequence, chi: Mapping, limit: int) -> tuple[ScaledMatrix, int]:
     """Left regular representation of `a` on the group algebra of the listed
     elements modulo the central character chi, and the transversal size m.
 
     The basis is a transversal of Q/Z, each z in Z acting as the scalar
     chi(z); with Z trivial this is the plain left regular representation.
+    A `MemoryCapError` refuses a list with |Q| * max(r, s) above `limit`.
     """
+    size = len(elements) * max(a.rows, a.cols)
+    if size > limit:
+        raise MemoryCapError(f"|Q| * max(r, s) = {size} exceeds the cap ({limit})")
     field = a.field
     # coset decomposition g * z -> (transversal index, center index); g * 1
     # needs no group multiplication, which is all of it for a trivial center
@@ -276,15 +280,10 @@ def finite_vn_rank(a: FiniteAlgebraMatrix, ops: GroupOps, *,
     if a.rows == 0 or a.cols == 0:
         return Fraction(0)
     limit = memory_cap(cap)
-    span = max(a.rows, a.cols)
     if elements is None:
-        elements = subgroup_closure(ops, a.support(), max(1, limit // span))
-    else:
-        elements = list(elements)
-        if len(elements) * span > limit:
-            raise MemoryCapError(
-                f"|Q| * max(r, s) = {len(elements) * span} exceeds the cap ({limit})")
-    mat, m = _regular_rep(a, ops, elements, [ops.identity], {ops.identity: a.field.one})
+        elements = subgroup_closure(ops, a.support(), max(1, limit // max(a.rows, a.cols)))
+    mat, m = _regular_rep(a, ops, list(elements), [ops.identity], {ops.identity: a.field.one},
+                          limit)
     return Fraction(mat.rank(), m)
 
 
@@ -314,7 +313,7 @@ def twisted_finite_rank(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequenc
         v = chi[z]
         chi_e[z] = v if isinstance(v, FieldElement) else field.from_rational(as_fraction(v))
     _check_character(ops, center, chi_e, field)
-    mat, m = _regular_rep(a, ops, elements, center, chi_e)
+    mat, m = _regular_rep(a, ops, elements, center, chi_e, memory_cap())
     return Fraction(mat.rank(), m)
 
 
@@ -466,22 +465,19 @@ def sylvester_rank(a: GroupAlgebraMatrix, rep: RepAssignment, lam: Sequence[int]
     d = weight_dim(lam)
     if a.rows == 0 or a.cols == 0:
         return Fraction(0)
-    return Fraction(_scaled_evaluate(a, rep, lam).rank(), d)
+    return Fraction(evaluate(a, rep, lam).rank(), d)
 
 
-def luck_rank(a: GroupAlgebraMatrix, q: FiniteQuotientMap, *,
-              elements: Optional[Sequence] = None,
-              cap: Optional[int] = None) -> RankValue:
+def luck_rank(a: GroupAlgebraMatrix, q: FiniteQuotientMap) -> RankValue:
     """Rank through a finite quotient: push the matrix forward, then take the
     exact finite von Neumann rank."""
-    return finite_vn_rank(q.push(a), q.ops, elements=elements, cap=cap)
+    return finite_vn_rank(q.push(a), q.ops)
 
 
-def luck_sequence(a: GroupAlgebraMatrix, chain: Sequence[FiniteQuotientMap], *,
-                  cap: Optional[int] = None) -> list[RankValue]:
+def luck_sequence(a: GroupAlgebraMatrix, chain: Sequence[FiniteQuotientMap]) -> list[RankValue]:
     """Per-level ranks along a chain of quotient maps (caller asserts that the
     chain is nested with shrinking kernels)."""
-    return [luck_rank(a, q, cap=cap) for q in chain]
+    return [luck_rank(a, q) for q in chain]
 
 
 def cyclic_power_quotient(presentation: GroupPresentation, modulus: int,

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .exactalg import (ExactMatrix, FieldElement, FieldMismatchError, NumberField,
-                       ScaledMatrix, StructuralError, scaled_vectors)
+from .exactalg import (FieldMismatchError, NumberField, ScaledMatrix, StructuralError,
+                       scaled_vectors)
 from .groupcore import GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation, Word
 
 WeightVector = tuple[int, ...]
@@ -43,23 +42,36 @@ def weight_dim(lam: Sequence[int]) -> int:
     return math.prod(v + 1 for v in lam)
 
 
-def _det2(g: ExactMatrix) -> FieldElement:
-    return g.entry(0, 0) * g.entry(1, 1) - g.entry(0, 1) * g.entry(1, 0)
+def _det_is_one(g: ScaledMatrix) -> bool:
+    # t * (ad - bc) against t * den^2, t = the field's int_scale
+    mul = g.field.int_mul
+    a, b, c, d = g.entries
+    det = [x - y for x, y in zip(mul(a, d), mul(b, c))]
+    return det == [g.field.int_scale * g.den ** 2] + [0] * (g.field.degree - 1)
 
 
-def _require_sl2(g: ExactMatrix):
-    if g.rows != 2 or g.cols != 2:
+def _identity_sign(g: ScaledMatrix) -> Optional[int]:
+    """1 or -1 when the 2x2 matrix g is +Identity or -Identity, else None."""
+    if (g.rows, g.cols) != (2, 2):
+        return None
+    a, b, c, d = g.entries
+    if any(b) or any(c) or a != d or any(a[1:]) or abs(a[0]) != g.den:
+        return None
+    return 1 if a[0] > 0 else -1
+
+
+def sym_power(g: ScaledMatrix, lam: int) -> ScaledMatrix:
+    """Matrix of the 2x2 matrix g on the lam-th symmetric power of its
+    defining 2-dim space."""
+    if lam < 0:
+        raise StructuralError("symmetric power degree must be non-negative")
+    if (g.rows, g.cols) != (2, 2):
         raise StructuralError("expected a 2x2 matrix")
-    if _det2(g) != g.field.one:
-        raise ValueError("matrix determinant must be exactly 1")
-
-
-def _scaled_sym_power(sg: ScaledMatrix, lam: int) -> ScaledMatrix:
-    # Integer coordinates: a 2x2 matrix g = (s*g)/s with s = sg.den gives
+    # Integer coordinates: g = (s*g)/s with s = g.den gives
     # Sym^lam(g) = Sym^lam(s*g) / s^lam.  P[n] = t^n x^n for each entry x
     # (t = the field's int_scale, 1 for an integral minpoly), so every
     # coefficient below carries the same factor t^(lam+3).
-    field = sg.field
+    field = g.field
     mul, t, deg = field.int_mul, field.int_scale, field.degree
     zero = (0,) * deg
     one = (1,) + zero[1:]
@@ -73,7 +85,7 @@ def _scaled_sym_power(sg: ScaledMatrix, lam: int) -> ScaledMatrix:
     def sparse(v):
         return [(i, x) for i, x in enumerate(v) if x]
 
-    pa, pb, pc, pd = (powers(x) for x in sg.entries)
+    pa, pb, pc, pd = (powers(x) for x in g.entries)
     n = lam + 1
     cols = []
     for j in range(n):
@@ -92,51 +104,34 @@ def _scaled_sym_power(sg: ScaledMatrix, lam: int) -> ScaledMatrix:
                     for q2, y in v2:
                         acc[q1 + q2] += cx * y
         cols.append([field.int_reduce(v) for v in conv])
-    return ScaledMatrix(field, n, n, sg.den ** lam * t ** (lam + 3),
+    return ScaledMatrix(field, n, n, g.den ** lam * t ** (lam + 3),
                         tuple(cols[j][i] for i in range(n) for j in range(n)))
 
 
-def sym_power(g: ExactMatrix, lam: int) -> ExactMatrix:
-    """Matrix of g on the lam-th symmetric power of its defining 2-dim space."""
-    if lam < 0:
-        raise StructuralError("symmetric power degree must be non-negative")
-    _require_sl2(g)
-    return _scaled_sym_power(ScaledMatrix.from_exact(g), lam).to_exact()
-
-
-def _scaled_weight_rep(gs: Sequence[ScaledMatrix], lam: WeightVector) -> ScaledMatrix:
+def weight_rep(gs: Sequence[ScaledMatrix], lam: Sequence[int]) -> ScaledMatrix:
+    """Kronecker product over factors of sym_power(g_j, lam_j)."""
     if len(gs) != len(lam):
         raise StructuralError(f"got {len(gs)} factor matrices for {len(lam)} weights")
-    out = _scaled_sym_power(gs[0], lam[0])
+    out = sym_power(gs[0], lam[0])
     for g, l in zip(gs[1:], lam[1:]):
-        out = out.kron(_scaled_sym_power(g, l))
+        out = out.kron(sym_power(g, l))
     return out
 
 
-def weight_rep(gs: Sequence[ExactMatrix], lam: Sequence[int]) -> ExactMatrix:
-    """Kronecker product over factors of sym_power(g_j, lam_j)."""
-    lam = validate_weight(lam)
-    for g in gs:
-        _require_sl2(g)
-    return _scaled_weight_rep([ScaledMatrix.from_exact(g) for g in gs], lam).to_exact()
-
-
-def _central_sign(z: Union[int, ExactMatrix]) -> int:
+def _central_sign(z: Union[int, ScaledMatrix]) -> int:
     if isinstance(z, int):
         if z in (1, -1):
             return z
         raise ValueError("central entries must be +1 or -1 (for +Id / -Id)")
-    if isinstance(z, ExactMatrix):
-        ident = ExactMatrix.identity(z.field, 2)
-        if z == ident:
-            return 1
-        if z == -ident:
-            return -1
-        raise ValueError("central entries must equal +Identity or -Identity")
+    if isinstance(z, ScaledMatrix):
+        sign = _identity_sign(z)
+        if sign is None:
+            raise ValueError("central entries must equal +Identity or -Identity")
+        return sign
     raise StructuralError("central entry must be a sign or a 2x2 matrix")
 
 
-def central_character_value(lam: Sequence[int], z: Sequence[Union[int, ExactMatrix]]) -> int:
+def central_character_value(lam: Sequence[int], z: Sequence[Union[int, ScaledMatrix]]) -> int:
     """Scalar through which (z_1, ..., z_n), each +-Identity, acts on the weight module."""
     lam = validate_weight(lam)
     if len(z) != len(lam):
@@ -162,13 +157,13 @@ class RepAssignment:
     presentation: GroupPresentation
     n: int
     field: NumberField
-    images: tuple[tuple[ExactMatrix, ...], ...]  # per generator, per factor
+    images: tuple[tuple[ScaledMatrix, ...], ...]  # per generator, per factor
     relator_signs: tuple[tuple[int, ...], ...]
     central_signs: Optional[tuple[int, ...]]
 
     @staticmethod
     def build(presentation: GroupPresentation,
-              images: Sequence[Sequence[ExactMatrix]],
+              images: Sequence[Sequence[ScaledMatrix]],
               n: Optional[int] = None,
               field: Optional[NumberField] = None) -> "RepAssignment":
         if len(images) != presentation.num_generators:
@@ -190,38 +185,30 @@ class RepAssignment:
                     raise StructuralError("all images must share one number field")
                 if g.rows != 2 or g.cols != 2:
                     raise StructuralError("images must be 2x2")
-                if _det2(g) != field.one:
+                if not _det_is_one(g):
                     raise ValueError(
                         f"generator {presentation.generator_names[gi]!r} factor {fj}: determinant is not 1")
-        ident = ExactMatrix.identity(field, 2)
-        scaled = [[ScaledMatrix.from_exact(g) for g in tup] for tup in images]
         signs = []
         for rk, rel in enumerate(presentation.relators):
             row = []
             for fj in range(n):
-                m = _scaled_word_image([tup[fj] for tup in scaled], rel, field).to_exact()
-                if m == ident:
-                    row.append(1)
-                elif m == -ident:
-                    row.append(-1)
-                else:
+                sign = _identity_sign(_word_image([tup[fj] for tup in images], rel, field))
+                if sign is None:
                     raise ValueError(
                         f"relator {rk} does not map to +-Identity in factor {fj}")
+                row.append(sign)
             signs.append(tuple(row))
         central_signs = None
         ci = presentation.central_involution
         if ci is not None:
             row = []
             for fj in range(n):
-                g = images[ci][fj]
-                if g == ident:
-                    row.append(1)
-                elif g == -ident:
-                    row.append(-1)
-                else:
+                sign = _identity_sign(images[ci][fj])
+                if sign is None:
                     raise ValueError(
                         f"designated central involution {presentation.generator_names[ci]!r} "
                         f"must map to +-Identity in every factor (factor {fj} fails)")
+                row.append(sign)
             central_signs = tuple(row)
         return RepAssignment(presentation, n, field,
                              tuple(tuple(t) for t in images), tuple(signs), central_signs)
@@ -256,19 +243,9 @@ class RepAssignment:
         except ParityError:
             return False
 
-    @cached_property
-    def scaled_images(self) -> tuple[tuple[ScaledMatrix, ...], ...]:
-        """The generator images in integer coordinates, per generator, per factor."""
-        return tuple(tuple(ScaledMatrix.from_exact(g) for g in tup) for tup in self.images)
 
-    def weight_images(self, lam: Sequence[int]) -> list[ExactMatrix]:
-        """Per-generator matrices on the weight module (no parity gate here)."""
-        lam = validate_weight(lam)
-        return [weight_rep(tup, lam) for tup in self.images]
-
-
-def _scaled_word_image(factor_images: Sequence[ScaledMatrix], w: Word,
-                       field: NumberField) -> ScaledMatrix:
+def _word_image(factor_images: Sequence[ScaledMatrix], w: Word,
+                field: NumberField) -> ScaledMatrix:
     """2x2 image of a word in integer coordinates, over its least denominator.
 
     Inverse letters use the adjugate, which is the inverse in SL2.
@@ -296,9 +273,16 @@ def _scaled_word_image(factor_images: Sequence[ScaledMatrix], w: Word,
     return ScaledMatrix(field, 2, 2, den // content, entries)
 
 
-def _scaled_evaluate(a: Union[GroupAlgebraElement, GroupAlgebraMatrix], rep: RepAssignment,
-                     lam: Sequence[int]) -> ScaledMatrix:
-    """`evaluate` in integer coordinates, over one denominator."""
+def evaluate(a: Union[GroupAlgebraElement, GroupAlgebraMatrix], rep: RepAssignment,
+             lam: Sequence[int]) -> ScaledMatrix:
+    """Image of a group-algebra element or matrix on the weight module of `lam`.
+
+    Sym^lam and the Kronecker product are homomorphisms, so each support word
+    is multiplied out as a 2x2 matrix per factor and lifted to the weight
+    module once, in integer coordinates over one denominator.  A matrix
+    becomes the (rows*d) x (cols*d) block matrix with d = dim W; an element
+    becomes a d x d matrix.  No parity gate here.
+    """
     lam = validate_weight(lam)
     if isinstance(a, GroupAlgebraElement):
         a = GroupAlgebraMatrix.single(a)
@@ -309,8 +293,8 @@ def _scaled_evaluate(a: Union[GroupAlgebraElement, GroupAlgebraMatrix], rep: Rep
     if len(lam) != rep.n:
         raise StructuralError(f"weight has {len(lam)} entries for {rep.n} factors")
     field = rep.field
-    factors = [[tup[j] for tup in rep.scaled_images] for j in range(rep.n)]
-    lifted = {w: _scaled_weight_rep([_scaled_word_image(f, w, field) for f in factors], lam)
+    factors = [[tup[j] for tup in rep.images] for j in range(rep.n)]
+    lifted = {w: weight_rep([_word_image(f, w, field) for f in factors], lam)
               for w in a.support()}
     # each term c * lifted[w] as integer vectors over its own denominator; a
     # rational c scales the image, any other c multiplies in (adding int_scale)
@@ -345,15 +329,3 @@ def _scaled_evaluate(a: Union[GroupAlgebraElement, GroupAlgebraMatrix], rep: Rep
                             acc[q] += f * x
     return ScaledMatrix(field, a.rows * d, out_cols, den, tuple(tuple(v) for v in flat))
 
-
-def evaluate(a: Union[GroupAlgebraElement, GroupAlgebraMatrix], rep: RepAssignment,
-             lam: Sequence[int]) -> ExactMatrix:
-    """Image of a group-algebra element or matrix on the weight module of `lam`.
-
-    Sym^lam and the Kronecker product are homomorphisms, so each support word
-    is multiplied out as a 2x2 matrix per factor and lifted to the weight
-    module once, in integer coordinates.  A matrix becomes the
-    (rows*d) x (cols*d) block matrix with d = dim W; an element becomes a
-    d x d matrix.  No parity gate here.
-    """
-    return _scaled_evaluate(a, rep, lam).to_exact()

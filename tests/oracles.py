@@ -5,18 +5,107 @@ ranks come from plain Gaussian elimination over Fractions or from modular
 elimination, companion embeddings from an independent polynomial reduction,
 symmetric powers from sympy's symbolic expansion or from `FieldElement`
 arithmetic on Fractions (the library's former implementation), slopes from
-numpy.  These are the second route of every dual-route check.
+numpy.  These are the second route of every dual-route check.  Matrices here
+are `DenseMatrix`es of `FieldElement`s; `dense` views a library
+`ScaledMatrix` that way and `scaled` converts back.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import sympy as sp
 
-from l2approx.exactalg import ExactMatrix, FieldElement
+from l2approx.exactalg import FieldElement, NumberField, ScaledMatrix
+
+
+@dataclass(frozen=True)
+class DenseMatrix:
+    """Dense row-major matrix of `FieldElement`s over one number field."""
+
+    field: NumberField
+    rows: int
+    cols: int
+    entries: tuple[FieldElement, ...]
+
+    @staticmethod
+    def from_rows(field: NumberField, rows) -> "DenseMatrix":
+        flat = [v if isinstance(v, FieldElement) else field.from_rational(v)
+                for row in rows for v in row]
+        return DenseMatrix(field, len(rows), len(rows[0]) if rows else 0, tuple(flat))
+
+    @staticmethod
+    def identity(field: NumberField, n: int) -> "DenseMatrix":
+        return DenseMatrix.from_rows(field, [[int(i == j) for j in range(n)] for i in range(n)])
+
+    def entry(self, i: int, j: int) -> FieldElement:
+        return self.entries[i * self.cols + j]
+
+    def row_lists(self) -> list[list[FieldElement]]:
+        return [list(self.entries[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
+
+    def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
+        assert (self.rows, self.cols) == (other.rows, other.cols)
+        return DenseMatrix(self.field, self.rows, self.cols,
+                           tuple(a + b for a, b in zip(self.entries, other.entries)))
+
+    def __sub__(self, other: "DenseMatrix") -> "DenseMatrix":
+        return self + other.scalar_mul(self.field.from_rational(-1))
+
+    def __mul__(self, other: "DenseMatrix") -> "DenseMatrix":
+        assert self.cols == other.rows
+        flat = []
+        for i in range(self.rows):
+            for j in range(other.cols):
+                acc = self.field.zero
+                for k in range(self.cols):
+                    acc = acc + self.entry(i, k) * other.entry(k, j)
+                flat.append(acc)
+        return DenseMatrix(self.field, self.rows, other.cols, tuple(flat))
+
+    def scalar_mul(self, c: FieldElement) -> "DenseMatrix":
+        return DenseMatrix(self.field, self.rows, self.cols, tuple(c * e for e in self.entries))
+
+    def transpose(self) -> "DenseMatrix":
+        return DenseMatrix(self.field, self.cols, self.rows,
+                           tuple(self.entry(i, j) for j in range(self.cols)
+                                 for i in range(self.rows)))
+
+    def is_zero(self) -> bool:
+        return not any(self.entries)
+
+    def kron(self, other: "DenseMatrix") -> "DenseMatrix":
+        return DenseMatrix.from_rows(self.field, [
+            [self.entry(i, j) * other.entry(k, l) for j in range(self.cols)
+             for l in range(other.cols)]
+            for i in range(self.rows) for k in range(other.rows)])
+
+
+def vstack(mats: list[DenseMatrix]) -> DenseMatrix:
+    return DenseMatrix.from_rows(mats[0].field, [row for m in mats for row in m.row_lists()])
+
+
+def block_diag(mats: list[DenseMatrix]) -> DenseMatrix:
+    field, cols = mats[0].field, sum(m.cols for m in mats)
+    rows, offset = [], 0
+    for m in mats:
+        for row in m.row_lists():
+            rows.append([field.zero] * offset + row + [field.zero] * (cols - offset - m.cols))
+        offset += m.cols
+    return DenseMatrix.from_rows(field, rows)
+
+
+def dense(m: ScaledMatrix) -> DenseMatrix:
+    """The library matrix with every entry as a `FieldElement` of Fractions."""
+    return DenseMatrix(m.field, m.rows, m.cols, tuple(
+        FieldElement(m.field, tuple(Fraction(x, m.den) for x in v)) for v in m.entries))
+
+
+def scaled(m: DenseMatrix) -> ScaledMatrix:
+    return ScaledMatrix.from_rows(m.field, m.row_lists())
 
 
 def gauss_rank(rows: list[list[Fraction]]) -> int:
@@ -42,7 +131,7 @@ def gauss_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def companion_rows(m: ExactMatrix) -> list[list[Fraction]]:
+def companion_rows(m: DenseMatrix) -> list[list[Fraction]]:
     """Companion embedding over Q built by polynomial multiplication and
     `minpoly_reduce`: column k of an entry's block holds entry * alpha^k."""
     e = m.field.degree
@@ -58,7 +147,7 @@ def companion_rows(m: ExactMatrix) -> list[list[Fraction]]:
     return rows
 
 
-def exact_matrix_rank_oracle(m: ExactMatrix) -> int:
+def exact_matrix_rank_oracle(m: DenseMatrix) -> int:
     """Rank via companion embedding to Q followed by Gaussian elimination.
 
     For a degree-e field this returns the rank over Q of the embedded matrix
@@ -70,7 +159,7 @@ def exact_matrix_rank_oracle(m: ExactMatrix) -> int:
     return r // e
 
 
-def rational_rows(m: ExactMatrix) -> list[list[Fraction]]:
+def rational_rows(m: DenseMatrix) -> list[list[Fraction]]:
     assert m.field.degree == 1
     return [[m.entry(i, j).coeffs[0] for j in range(m.cols)] for i in range(m.rows)]
 
@@ -157,7 +246,7 @@ def _powers(x: FieldElement, n: int) -> list[FieldElement]:
     return out
 
 
-def fraction_sym_power(g: ExactMatrix, lam: int) -> ExactMatrix:
+def fraction_sym_power(g: DenseMatrix, lam: int) -> DenseMatrix:
     """Sym^lam(g) by binomial expansion in `FieldElement` arithmetic: column j
     holds (a x + c y)^(lam-j) (b x + d y)^j in the monomials x^(lam-i) y^i."""
     field = g.field
@@ -179,33 +268,38 @@ def fraction_sym_power(g: ExactMatrix, lam: int) -> ExactMatrix:
                     if v2:
                         col[k + l] = col[k + l] + v1 * v2
         cols.append(col)
-    return ExactMatrix(field, n, n, tuple(cols[j][i] for i in range(n) for j in range(n)))
+    return DenseMatrix(field, n, n, tuple(cols[j][i] for i in range(n) for j in range(n)))
 
 
-def fraction_weight_rep(gs, lam) -> ExactMatrix:
+def fraction_weight_rep(gs, lam) -> DenseMatrix:
     out = fraction_sym_power(gs[0], lam[0])
     for g, l in zip(gs[1:], lam[1:]):
         out = out.kron(fraction_sym_power(g, l))
     return out
 
 
-def fraction_evaluate(a, rep, lam) -> ExactMatrix:
+def adjugate(g: DenseMatrix) -> DenseMatrix:
+    """The inverse of a 2x2 matrix of determinant 1."""
+    return DenseMatrix.from_rows(g.field, [[g.entry(1, 1), -g.entry(0, 1)],
+                                           [-g.entry(1, 0), g.entry(0, 0)]])
+
+
+def fraction_evaluate(a, rep, lam) -> DenseMatrix:
     """Image of a group-algebra matrix: each word multiplied out in 2x2 per
     factor (inverse letters by the adjugate), lifted by fraction_weight_rep,
     and summed into blocks with `FieldElement` arithmetic."""
     field = rep.field
 
     def word_image(images, w):
-        out = ExactMatrix.identity(field, 2)
+        out = DenseMatrix.identity(field, 2)
         for idx, exp in w.letters:
             g = images[idx]
             if exp == -1:
-                g = ExactMatrix.from_rows(field, [[g.entry(1, 1), -g.entry(0, 1)],
-                                                  [-g.entry(1, 0), g.entry(0, 0)]])
+                g = adjugate(g)
             out = out * g
         return out
 
-    factors = [[tup[j] for tup in rep.images] for j in range(rep.n)]
+    factors = [[dense(tup[j]) for tup in rep.images] for j in range(rep.n)]
     lifted = {w: fraction_weight_rep([word_image(f, w) for f in factors], lam)
               for w in a.support()}
     d = math.prod(v + 1 for v in lam)
@@ -219,7 +313,7 @@ def fraction_evaluate(a, rep, lam) -> ExactMatrix:
                     for bj in range(d):
                         k = (i * d + bi) * out_cols + j * d + bj
                         flat[k] = flat[k] + c * img.entry(bi, bj)
-    return ExactMatrix(field, a.rows * d, out_cols, tuple(flat))
+    return DenseMatrix(field, a.rows * d, out_cols, tuple(flat))
 
 
 def dense_regular_rank(a, ops, elements, center=None, chi=None) -> Fraction:
@@ -246,5 +340,5 @@ def dense_regular_rank(a, ops, elements, center=None, chi=None) -> Fraction:
                     for v_idx, v in enumerate(elements):
                         k = (i * q + index[ops.mul(h, v)]) * out_cols + j * q + v_idx
                         flat[k] = flat[k] + coef
-    m = ExactMatrix(field, a.rows * q, out_cols, tuple(flat))
+    m = DenseMatrix(field, a.rows * q, out_cols, tuple(flat))
     return Fraction(exact_matrix_rank_oracle(m) * len(center), q)

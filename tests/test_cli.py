@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 from fractions import Fraction as F
 
@@ -196,6 +197,36 @@ class TestErrors:
         assert main(base) == 0
         assert main(base + ["--word-len", "0"]) == 0
         assert lengths == [default_len, 0]
+
+    @pytest.mark.parametrize("mode_args", [
+        ["--mode", "rank", "--entry", "figure-eight", "--weights", "2:4:2"],
+        ["--mode", "limit", "--entry", "sanov-f2", "--weights", "1:4", "--degree", "1"],
+        ["--mode", "luck", "--entry", "z-unipotent", "--quotients", "2,4"],
+        ["--mode", "harris", "--p", "3", "--levels", "1:2"]],
+        ids=["rank", "limit", "luck", "harris"])
+    @pytest.mark.parametrize("target", ["1/0", "abc"])
+    def test_bad_target_is_a_config_error(self, tmp_path, capsys, mode_args, target):
+        out = str(tmp_path / "x.csv")
+        assert main(mode_args + ["--target", target, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: ConfigError: --target must be a rational such as 1/2, "
+                       f"got '{target}'\n")
+        # the same key from a config file
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"target={target}\n")
+        assert main(mode_args + ["--config", str(cfgfile), "--out", out]) == 2
+        assert capsys.readouterr().err == err
+
+    def test_flags_are_the_config_fields(self):
+        parser = cli.build_arg_parser()
+        flags = [a.option_strings[0] for a in parser._actions if a.option_strings]
+        assert flags == ["-h", "--config"] + ["--" + f.name.replace("_", "-")
+                                              for f in dataclasses.fields(cli.ExperimentConfig)]
+        choices = {a.dest: a.choices for a in parser._actions if a.choices}
+        assert choices == {"mode": cli.MODES, "degree": (0, 1, 2),
+                           "matrix": cli.MATRIX_SOURCES, "element": cli.HARRIS_ELEMENTS}
+        assert config_from_args(["--rows", "3", "--word-len", "0"]) == \
+            cli.ExperimentConfig(rows=3, word_len=0)
 
     def test_bad_memory_cap_names_the_variable(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("L2APPROX_MEMORY_CAP", "abc")

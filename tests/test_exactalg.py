@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l2approx.exactalg import (ExactMatrix, FieldMismatchError, NumberField, QQ,
-                               StructuralError, block_diag, companion_embed, rank_exact)
+from l2approx.exactalg import (FieldMismatchError, NumberField, QQ, ScaledMatrix,
+                               StructuralError)
 
-from oracles import (clear_denominators, exact_matrix_rank_oracle, gauss_rank,
-                     minpoly_reduce, rank_mod_p, rational_rows)
+from oracles import (block_diag, clear_denominators, companion_rows, dense,
+                     exact_matrix_rank_oracle, gauss_rank, minpoly_reduce, rank_mod_p,
+                     rational_rows, scaled)
 
 QW = NumberField((F(1), F(-1), F(1)))  # w^2 = w - 1
 QI = NumberField((F(1), F(0), F(1)))   # i^2 = -1
@@ -18,11 +19,11 @@ MERSENNE_61 = 2 ** 61 - 1
 
 
 def qmat(rows):
-    return ExactMatrix.from_rows(QQ, rows)
+    return ScaledMatrix.from_rows(QQ, rows)
 
 
 def random_field_matrix(field, rng, rows, cols, span=3):
-    return ExactMatrix.from_rows(field, [
+    return ScaledMatrix.from_rows(field, [
         [field.element([F(rng.randint(-span, span)) for _ in range(field.degree)])
          for _ in range(cols)] for _ in range(rows)])
 
@@ -56,54 +57,53 @@ class TestFieldElement:
 
 class TestRankExact:
     def test_identity(self):
-        assert rank_exact(ExactMatrix.identity(QQ, 2)) == 2
+        assert qmat([[1, 0], [0, 1]]).rank() == 2
 
     def test_proportional_rows(self):
-        assert rank_exact(qmat([[1, 2], [2, 4]])) == 1
+        assert qmat([[1, 2], [2, 4]]).rank() == 1
 
     def test_quadratic_field_rank_via_det_oracle(self):
         # det = w^2 + 1 which reduces to w, nonzero, so full rank
         w = QW.gen()
-        m = ExactMatrix.from_rows(QW, [[w, QW.one], [-QW.one, w]])
+        m = ScaledMatrix.from_rows(QW, [[w, QW.one], [-QW.one, w]])
         det = w * w + QW.one
         assert list(det.coeffs) == minpoly_reduce([F(1), F(0), F(1)], list(QW.minpoly))
         assert bool(det)
-        assert rank_exact(m) == 2
+        assert m.rank() == 2
 
     def test_empty_shapes(self):
-        assert rank_exact(ExactMatrix(QQ, 0, 3, ())) == 0
-        assert rank_exact(ExactMatrix(QQ, 3, 0, ())) == 0
+        assert ScaledMatrix(QQ, 0, 3, 1, ()).rank() == 0
+        assert ScaledMatrix(QQ, 3, 0, 1, ()).rank() == 0
 
     def test_agrees_with_gaussian_oracle_over_q(self):
         rng = random.Random(11)
         for _ in range(40):
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 5)
-            m = ExactMatrix.from_rows(QQ, [
-                [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
-                for _ in range(rows)])
-            assert rank_exact(m) == gauss_rank(rational_rows(m))
+            m = qmat([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+                      for _ in range(rows)])
+            assert m.rank() == gauss_rank(rational_rows(dense(m)))
 
     def test_agrees_with_companion_oracle_over_number_fields(self):
         rng = random.Random(13)
         for field in (QW, QI):
             for _ in range(15):
                 m = random_field_matrix(field, rng, rng.randint(1, 4), rng.randint(1, 4))
-                assert rank_exact(m) == exact_matrix_rank_oracle(m)
+                assert m.rank() == exact_matrix_rank_oracle(dense(m))
 
     def test_transpose_invariance(self):
         rng = random.Random(17)
         for _ in range(20):
             m = random_field_matrix(QW, rng, rng.randint(1, 4), rng.randint(1, 4))
-            assert rank_exact(m) == rank_exact(m.transpose())
-            assert rank_exact(m) <= min(m.rows, m.cols)
+            assert m.rank() == scaled(dense(m).transpose()).rank()
+            assert m.rank() <= min(m.rows, m.cols)
 
     def test_block_diag_additivity(self):
         rng = random.Random(19)
         for _ in range(15):
             a = random_field_matrix(QQ, rng, rng.randint(1, 3), rng.randint(1, 3))
             b = random_field_matrix(QQ, rng, rng.randint(1, 3), rng.randint(1, 3))
-            assert rank_exact(block_diag([a, b])) == rank_exact(a) + rank_exact(b)
+            assert scaled(block_diag([dense(a), dense(b)])).rank() == a.rank() + b.rank()
 
     def test_modular_oracle(self):
         # rank mod p never exceeds the exact rank; generically some prime attains it
@@ -111,10 +111,8 @@ class TestRankExact:
         hits = 0
         for _ in range(12):
             m = random_field_matrix(QW, rng, 3, 3)
-            exact = rank_exact(m)
-            emb = companion_embed(m)
-            int_rows = clear_denominators(
-                [[emb.entry(i, j).coeffs[0] for j in range(emb.cols)] for i in range(emb.rows)])
+            exact = m.rank()
+            int_rows = clear_denominators(companion_rows(dense(m)))
             attained = False
             for p in (101, 103, 107):
                 rp = rank_mod_p(int_rows, p)
@@ -133,16 +131,16 @@ class TestRankExact:
                     for _ in range(rows)]
             right = [[F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(cols)]
                      for _ in range(inner)]
-            dense = [[sum(l * r for l, r in zip(lrow, col)) for col in zip(*right)]
-                     for lrow in left]
+            rat = [[sum(l * r for l, r in zip(lrow, col)) for col in zip(*right)]
+                   for lrow in left]
             for _ in range(rng.randint(0, 2)):
-                dense.insert(rng.randint(0, len(dense)), [F(0)] * cols)
+                rat.insert(rng.randint(0, len(rat)), [F(0)] * cols)
             zero_col = rng.randint(0, cols)
-            dense = [row[:zero_col] + [F(0)] + row[zero_col:] for row in dense]
-            m = qmat(dense)
-            exact = rank_exact(m)
-            assert exact == gauss_rank(dense) == exact_matrix_rank_oracle(m)
-            assert exact == rank_mod_p(clear_denominators(dense), MERSENNE_61)
+            rat = [row[:zero_col] + [F(0)] + row[zero_col:] for row in rat]
+            m = qmat(rat)
+            exact = m.rank()
+            assert exact == gauss_rank(rat) == exact_matrix_rank_oracle(dense(m))
+            assert exact == rank_mod_p(clear_denominators(rat), MERSENNE_61)
 
     def test_cubic_field_matches_companion_oracle(self):
         rng = random.Random(43)
@@ -150,70 +148,89 @@ class TestRankExact:
         for _ in range(12):
             left = random_field_matrix(QC, rng, rng.randint(1, 4), rng.randint(1, 3), span=2)
             right = random_field_matrix(QC, rng, left.cols, rng.randint(1, 4), span=2)
-            m = left * right
-            exact = rank_exact(m)
+            m = dense(left) * dense(right)
+            exact = scaled(m).rank()
             ranks.add(exact)
             assert exact == exact_matrix_rank_oracle(m)
-            assert exact == rank_exact(m.transpose())
+            assert exact == scaled(m.transpose()).rank()
         assert len(ranks) > 1
 
     def test_deterministic(self):
         rng = random.Random(29)
         m = random_field_matrix(QW, rng, 4, 5)
-        assert rank_exact(m) == rank_exact(m)
+        assert m.rank() == m.rank()
 
 
 class TestCompanionEmbed:
     def test_degree_one_is_identity_map(self):
-        m = qmat([[1, 2], [3, 4]])
-        assert companion_embed(m) is m
+        # over Q the embedding is the matrix itself, scaled by its denominator
+        assert qmat([[1, 2], [3, 4]]).embed() == [[1, 2], [3, 4]]
+        assert qmat([[F(1, 2), 1], [F(-1, 3), 0]]).embed() == [[3, 6], [-2, 0]]
 
     def test_generator_multiplication_matrix(self):
         w = QW.gen()
-        ce = companion_embed(ExactMatrix.from_rows(QW, [[w]]))
+        m = ScaledMatrix.from_rows(QW, [[w]])
         # columns are w*1 = w and w*w = -1 + w in the power basis
-        got = [[ce.entry(i, j).coeffs[0] for j in range(2)] for i in range(2)]
-        assert got == [[F(0), F(-1)], [F(1), F(1)]]
-        assert rank_exact(ce) == 2
+        assert m.embed() == [[0, -1], [1, 1]]
+        assert companion_rows(dense(m)) == [[F(0), F(-1)], [F(1), F(1)]]
+        assert gauss_rank(m.embed()) == 2
+        assert m.rank() == 1
 
     def test_zero_matrix(self):
-        z = ExactMatrix.zeros(QW, 2, 3)
-        ce = companion_embed(z)
-        assert (ce.rows, ce.cols) == (4, 6)
-        assert ce.is_zero()
-        assert rank_exact(ce) == 0
+        z = ScaledMatrix.from_rows(QW, [[0, 0, 0], [0, 0, 0]])
+        emb = z.embed()
+        assert (len(emb), len(emb[0])) == (4, 6)
+        assert not any(any(row) for row in emb)
+        assert z.rank() == 0
 
     def test_rank_scaling_on_random_matrices(self):
         rng = random.Random(31)
         for field in (QW, QI):
             for _ in range(12):
                 m = random_field_matrix(field, rng, rng.randint(1, 4), rng.randint(1, 4))
-                assert rank_exact(companion_embed(m)) == field.degree * rank_exact(m)
+                assert gauss_rank(companion_rows(dense(m))) == field.degree * m.rank()
+                assert gauss_rank(m.embed()) == field.degree * m.rank()
 
 
 class TestMatrixOps:
     def test_kron_dimensions_and_values(self):
         a = qmat([[1, 2], [3, 4]])
         b = qmat([[0, 1], [1, 0]])
-        k = a.kron(b)
+        k = dense(a.kron(b))
         assert (k.rows, k.cols) == (4, 4)
         # entry (i*2+u, j*2+v) = a(i,j) * b(u,v)
         assert k.entry(0, 1).coeffs[0] == F(1) * F(1)
         assert k.entry(2, 1).coeffs[0] == F(3) * F(1)
         assert k.entry(2, 3).coeffs[0] == F(4) * F(1)
         assert k.entry(2, 2).coeffs[0] == F(0)
+        assert k == dense(a).kron(dense(b))
 
     def test_mixed_field_entries_rejected(self):
         with pytest.raises(FieldMismatchError):
-            ExactMatrix(QQ, 1, 2, (QQ.one, QW.one))
+            ScaledMatrix.from_rows(QQ, [[QQ.one, QW.one]])
+        with pytest.raises(FieldMismatchError):
+            ScaledMatrix.from_rows(QW, [[QW.gen()], [QI.gen()]])
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(StructuralError, match="ragged rows"):
+            qmat([[1, 2], [3]])
+        with pytest.raises(StructuralError):
+            qmat([[1.5]])
+
+    def test_from_rows_reads_ints_fractions_and_field_elements(self):
+        w = QW.gen()
+        m = ScaledMatrix.from_rows(QW, [[1, F(1, 2)], [w, QW.element([F(1, 3), F(-2, 3)])]])
+        assert m.den == 6
+        assert m.entries == ((6, 0), (3, 0), (0, 6), (2, -4))
+        assert dense(m).row_lists() == [[QW.one, QW.from_rational(F(1, 2))],
+                                        [w, QW.element([F(1, 3), F(-2, 3)])]]
 
 
 @given(st.lists(st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
                 min_size=1, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_rank_matches_oracle_property(rows):
-    m = ExactMatrix.from_rows(QQ, rows)
-    assert rank_exact(m) == gauss_rank(rational_rows(m))
+    assert qmat(rows).rank() == gauss_rank(rows)
 
 
 @given(st.lists(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
@@ -221,5 +238,5 @@ def test_rank_matches_oracle_property(rows):
                 min_size=1, max_size=4).filter(lambda rs: len({len(r) for r in rs}) == 1))
 @settings(max_examples=60, deadline=None)
 def test_companion_rank_scaling_property(rows):
-    m = ExactMatrix.from_rows(QW, [[QW.element(list(pair)) for pair in row] for row in rows])
-    assert rank_exact(companion_embed(m)) == 2 * rank_exact(m)
+    m = ScaledMatrix.from_rows(QW, [[QW.element(list(pair)) for pair in row] for row in rows])
+    assert gauss_rank(companion_rows(dense(m))) == 2 * m.rank()

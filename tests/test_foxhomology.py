@@ -2,13 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l2approx.exactalg import ExactMatrix, QQ
+from l2approx.exactalg import QQ, ScaledMatrix
 from l2approx.foxhomology import (boundary_stack, check_fox_identity, coinvariants_dim,
                                   fox_derivative, homology_dims, invariants_dim,
                                   presentation_complex)
 from l2approx.groupcore import (GroupAlgebraElement, GroupPresentation, IDENTITY_WORD,
                                 Word, free_reduce, word_from_string)
 from l2approx.repweights import ParityError, RepAssignment
+
+from oracles import dense
 
 letters = st.lists(st.tuples(st.integers(min_value=0, max_value=2),
                              st.sampled_from((1, -1))), max_size=10)
@@ -52,28 +54,28 @@ class TestFoxDerivative:
 
 class TestPresentationComplex:
     def test_free_group_has_empty_jacobian(self, sanov):
-        J, D = presentation_complex(sanov.presentation, sanov.rep, (2,))
+        J, D, _, _ = presentation_complex(sanov.presentation, sanov.rep, (2,))
         assert (J.rows, J.cols) == (0, 6)
         assert (D.rows, D.cols) == (6, 3)
 
     def test_trivial_images_give_zero_boundary(self):
         pres = GroupPresentation(("a", "b"), (word_from_string("aa", ("a", "b")),))
-        ident = ExactMatrix.identity(QQ, 2)
+        ident = ScaledMatrix.from_rows(QQ, [[1, 0], [0, 1]])
         rep = RepAssignment.build(pres, [(ident,), (ident,)])
-        J, D = presentation_complex(pres, rep, (2,))
-        assert D.is_zero()
+        J, D, _, _ = presentation_complex(pres, rep, (2,))
+        assert dense(D).is_zero()
 
     def test_figure_eight_shapes_and_composite(self, fig8):
-        J, D = presentation_complex(fig8.presentation, fig8.rep, (2,))
+        J, D, _, _ = presentation_complex(fig8.presentation, fig8.rep, (2,))
         assert (J.rows, J.cols) == (3, 6)
         assert (D.rows, D.cols) == (6, 3)
-        assert (J * D).is_zero()
+        assert (dense(J) * dense(D)).is_zero()
 
     def test_composite_vanishes_on_all_entries(self, fig8, whitehead, c2, z2):
         for entry in (fig8, whitehead, c2, z2):
             for lam in ((2,), (4,)):
-                J, D = presentation_complex(entry.presentation, entry.rep, lam)
-                assert (J * D).is_zero()
+                J, D, _, _ = presentation_complex(entry.presentation, entry.rep, lam)
+                assert (dense(J) * dense(D)).is_zero()
 
     def test_boundary_stack_shape(self, sanov):
         b = boundary_stack(sanov.presentation, sanov.field)

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l2approx.exactalg import (ExactMatrix, FieldMismatchError, NumberField, QQ,
-                               StructuralError, block_diag)
+from l2approx.exactalg import (FieldMismatchError, NumberField, QQ, ScaledMatrix,
+                               StructuralError)
 from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix,
                                 GroupPresentation, IDENTITY_WORD, Word, free_reduce,
                                 ga_block_diag, word_from_string, word_to_string)
 from l2approx.repweights import RepAssignment, evaluate
 
-from oracles import rational_rows
+from oracles import DenseMatrix, block_diag, dense, rational_rows
 
 letters = st.lists(st.tuples(st.integers(min_value=0, max_value=2),
                              st.sampled_from((1, -1))), max_size=12)
@@ -99,22 +99,22 @@ class TestAlgebra:
 
 def sanov_rep():
     pres = GroupPresentation(("a", "b"), ())
-    return RepAssignment.build(pres, [[ExactMatrix.from_rows(QQ, [[1, 2], [0, 1]])],
-                                      [ExactMatrix.from_rows(QQ, [[1, 0], [2, 1]])]])
+    return RepAssignment.build(pres, [[ScaledMatrix.from_rows(QQ, [[1, 2], [0, 1]])],
+                                      [ScaledMatrix.from_rows(QQ, [[1, 0], [2, 1]])]])
 
 
 class TestEvaluate:
     def test_unipotent_substitution(self):
         rep = RepAssignment.build(GroupPresentation(("t",), ()),
-                                  [[ExactMatrix.from_rows(QQ, [[1, 1], [0, 1]])]])
+                                  [[ScaledMatrix.from_rows(QQ, [[1, 1], [0, 1]])]])
         x = GroupAlgebraElement.from_dict(QQ, {Word(((0, 1),)): 1, IDENTITY_WORD: -1})
         out = evaluate(x, rep, (1,))
-        assert rational_rows(out) == [[F(0), F(1)], [F(0), F(0)]]
+        assert rational_rows(dense(out)) == [[F(0), F(1)], [F(0), F(0)]]
 
     def test_empty_word_maps_to_identity(self):
         x = GroupAlgebraElement.from_dict(QQ, {IDENTITY_WORD: 1})
         out = evaluate(x, sanov_rep(), (1,))
-        assert out == ExactMatrix.identity(QQ, 2)
+        assert dense(out) == DenseMatrix.identity(QQ, 2)
 
     def test_multiplicative_on_products(self):
         rng = random.Random(9)
@@ -130,7 +130,8 @@ class TestEvaluate:
             x = GroupAlgebraElement.from_dict(QQ, tx)
             y = GroupAlgebraElement.from_dict(QQ, ty)
             lam = (rng.randint(1, 3),)
-            assert evaluate(x * y, rep, lam) == evaluate(x, rep, lam) * evaluate(y, rep, lam)
+            assert dense(evaluate(x * y, rep, lam)) == \
+                dense(evaluate(x, rep, lam)) * dense(evaluate(y, rep, lam))
 
     def test_matrix_block_shape(self):
         names = ("a", "b")
@@ -146,8 +147,8 @@ class TestEvaluate:
         ma = GroupAlgebraMatrix.from_rows(QQ, [[x]])
         mb = GroupAlgebraMatrix.from_rows(QQ, [[y]])
         rep = sanov_rep()
-        lhs = evaluate(ga_block_diag(ma, mb), rep, (2,))
-        rhs = block_diag([evaluate(ma, rep, (2,)), evaluate(mb, rep, (2,))])
+        lhs = dense(evaluate(ga_block_diag(ma, mb), rep, (2,)))
+        rhs = block_diag([dense(evaluate(ma, rep, (2,))), dense(evaluate(mb, rep, (2,)))])
         assert lhs == rhs
 
     def test_field_mismatch_rejected(self):
@@ -165,9 +166,10 @@ class TestEvaluate:
     @settings(max_examples=60, deadline=None)
     def test_additive_and_homogeneous(self, raw1, raw2, c1, c2):
         rep = RepAssignment.build(GroupPresentation(("a", "b", "c"), ()), [
-            [ExactMatrix.from_rows(QQ, [[1, 2], [0, 1]])],
-            [ExactMatrix.from_rows(QQ, [[1, 0], [2, 1]])],
-            [ExactMatrix.from_rows(QQ, [[2, 0], [0, F(1, 2)]])]])
+            [ScaledMatrix.from_rows(QQ, [[1, 2], [0, 1]])],
+            [ScaledMatrix.from_rows(QQ, [[1, 0], [2, 1]])],
+            [ScaledMatrix.from_rows(QQ, [[2, 0], [0, F(1, 2)]])]])
         x = GroupAlgebraElement.from_dict(QQ, {free_reduce(raw1): c1})
         y = GroupAlgebraElement.from_dict(QQ, {free_reduce(raw2): c2})
-        assert evaluate(x + y, rep, (2,)) == evaluate(x, rep, (2,)) + evaluate(y, rep, (2,))
+        assert dense(evaluate(x + y, rep, (2,))) == \
+            dense(evaluate(x, rep, (2,))) + dense(evaluate(y, rep, (2,)))

@@ -13,8 +13,8 @@ from fractions import Fraction as F
 import pytest
 
 from l2approx.census import builtin_entry
-from l2approx.exactalg import (ExactMatrix, InvariantError, NumberField, QQ, ScaledMatrix,
-                               product_is_zero, rank_exact, scaled_vectors, vstack)
+from l2approx.exactalg import (InvariantError, NumberField, QQ, ScaledMatrix, product_is_zero,
+                               scaled_vectors)
 from l2approx.foxhomology import (coinvariants_dim, fox_jacobian, homology_dims,
                                   presentation_complex)
 from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
@@ -22,8 +22,9 @@ from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPr
 from l2approx.padicharris import diagonal_element_images
 from l2approx.repweights import RepAssignment, evaluate, sym_power, weight_rep
 
-from oracles import (companion_rows, exact_matrix_rank_oracle, fraction_evaluate,
-                     fraction_sym_power, fraction_weight_rep)
+from oracles import (DenseMatrix, adjugate, companion_rows, dense, exact_matrix_rank_oracle,
+                     fraction_evaluate, fraction_sym_power, fraction_weight_rep, scaled,
+                     vstack)
 
 QW = NumberField((F(1), F(-1), F(1)))                # w^2 = w - 1
 QC = NumberField((F(-2), F(0), F(0), F(1)))           # c^3 = 2
@@ -39,23 +40,23 @@ def random_element(field, rng, span=3):
 
 def random_sl2(field, rng, moves=3):
     """Product of shears with non-integral entries: determinant exactly 1."""
-    m = ExactMatrix.identity(field, 2)
+    m = DenseMatrix.identity(field, 2)
     one, zero = field.one, field.zero
     for _ in range(moves):
         t = random_element(field, rng)
         rows = [[one, t], [zero, one]] if rng.random() < 0.5 else [[one, zero], [t, one]]
-        m = m * ExactMatrix.from_rows(field, rows)
+        m = m * DenseMatrix.from_rows(field, rows)
     return m
 
 
 def random_matrix(field, rng, rows, cols):
-    return ExactMatrix.from_rows(field, [[random_element(field, rng) for _ in range(cols)]
+    return DenseMatrix.from_rows(field, [[random_element(field, rng) for _ in range(cols)]
                                          for _ in range(rows)])
 
 
 def free_rep(field, rng, n=1):
     """Free group on a, b with random SL2 images in n factors."""
-    images = [[random_sl2(field, rng) for _ in range(n)] for _ in range(2)]
+    images = [[scaled(random_sl2(field, rng)) for _ in range(n)] for _ in range(2)]
     return RepAssignment.build(GroupPresentation(("a", "b"), ()), images)
 
 
@@ -65,14 +66,14 @@ def test_sym_power_matches_fraction_reference(field):
     for _ in range(4):
         g = random_sl2(field, rng)
         for lam in range(7):
-            assert sym_power(g, lam) == fraction_sym_power(g, lam)
+            assert dense(sym_power(scaled(g), lam)) == fraction_sym_power(g, lam)
 
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_diagonal_element_with_non_integral_entry(p):
     g = diagonal_element_images(p)[0][0]  # diag(1+p, 1/(1+p))
     for lam in range(9):
-        assert sym_power(g, lam) == fraction_sym_power(g, lam)
+        assert dense(sym_power(g, lam)) == fraction_sym_power(dense(g), lam)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: str(f.minpoly))
@@ -80,17 +81,21 @@ def test_weight_rep_matches_fraction_reference_on_two_factors(field):
     rng = random.Random(103)
     g1, g2 = random_sl2(field, rng), random_sl2(field, rng)
     for lam in ((0, 2), (2, 1), (3, 2)):
-        assert weight_rep([g1, g2], lam) == fraction_weight_rep([g1, g2], lam)
+        assert dense(weight_rep([scaled(g1), scaled(g2)], lam)) == \
+            fraction_weight_rep([g1, g2], lam)
 
 
 @pytest.mark.parametrize("field", (QC, QH, QR), ids=lambda f: str(f.minpoly))
 def test_weight_rep_is_multiplicative_on_two_factors(field):
     rng = random.Random(107)
     g1, g2, h1, h2 = (random_sl2(field, rng) for _ in range(4))
+    def rep(gs, lam):
+        return dense(weight_rep([scaled(g) for g in gs], lam))
+
     for lam in ((1, 2), (3, 1)):
-        assert weight_rep([g1 * h1, g2 * h2], lam) == \
-            weight_rep([g1, g2], lam) * weight_rep([h1, h2], lam)
-    assert sym_power(g1 * h1, 4) == sym_power(g1, 4) * sym_power(h1, 4)
+        assert rep([g1 * h1, g2 * h2], lam) == rep([g1, g2], lam) * rep([h1, h2], lam)
+    assert dense(sym_power(scaled(g1 * h1), 4)) == \
+        dense(sym_power(scaled(g1), 4)) * dense(sym_power(scaled(h1), 4))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: str(f.minpoly))
@@ -108,35 +113,33 @@ def test_evaluate_matches_fraction_reference(field):
             cells.append(GroupAlgebraElement.from_dict(field, terms))
         a = GroupAlgebraMatrix.from_rows(field, [cells])
         for lam in ((1, 1), (2, 1)):
-            assert evaluate(a, rep, lam) == fraction_evaluate(a, rep, lam)
+            assert dense(evaluate(a, rep, lam)) == fraction_evaluate(a, rep, lam)
 
 
 def test_figure_eight_complex_matches_fraction_reference(fig8):
     p, rep = fig8.presentation, fig8.rep
     for lam in ((2,), (5,)):
-        J, D = presentation_complex(p, rep, lam)
-        assert J == fraction_evaluate(fox_jacobian(p, rep.field), rep, lam)
-        ident = ExactMatrix.identity(rep.field, lam[0] + 1)
-        assert D == vstack([fraction_weight_rep(tup, lam) - ident for tup in rep.images])
+        J, D, j_rows, d_rows = presentation_complex(p, rep, lam)
+        assert dense(J) == fraction_evaluate(fox_jacobian(p, rep.field), rep, lam)
+        ident = DenseMatrix.identity(rep.field, lam[0] + 1)
+        assert dense(D) == vstack([fraction_weight_rep([dense(g) for g in tup], lam) - ident
+                                   for tup in rep.images])
+        assert (j_rows, d_rows) == (J.embed(), D.embed())
 
 
 def test_coinvariants_match_the_dual_action_reference(fig8, whitehead, c2, z_entry):
     # d - rank of the stacked blocks rho(g^-1)^T - Id, in Fraction coordinates
-    def adjugate(g):
-        return ExactMatrix.from_rows(g.field, [[g.entry(1, 1), -g.entry(0, 1)],
-                                               [-g.entry(1, 0), g.entry(0, 0)]])
-
     # one generator of order 4, a hyperbolic one and one of order 6 have
     # invariants that depend on the weight
     cyclic = [RepAssignment.build(GroupPresentation(("t",), ()),
-                                  [[ExactMatrix.from_rows(QQ, m)]])
+                                  [[ScaledMatrix.from_rows(QQ, m)]])
               for m in ([[0, -1], [1, 0]], [[2, 1], [1, 1]], [[1, 1], [-1, 0]])]
     rng = random.Random(114)
     for rep in [fig8.rep, whitehead.rep, c2.rep, z_entry.rep, free_rep(QR, rng, n=2)] + cyclic:
         for lam in ((1,), (2,), (4,)) if rep.n == 1 else ((1, 1), (2, 2)):
             d = math.prod(v + 1 for v in lam)
-            ident = ExactMatrix.identity(rep.field, d)
-            dual = vstack([fraction_weight_rep([adjugate(g) for g in tup], lam).transpose()
+            ident = DenseMatrix.identity(rep.field, d)
+            dual = vstack([fraction_weight_rep([adjugate(dense(g)) for g in tup], lam).transpose()
                            - ident for tup in rep.images])
             assert coinvariants_dim(rep, lam) == d - exact_matrix_rank_oracle(dual)
 
@@ -156,8 +159,8 @@ def test_int_mul_matches_field_product(field):
 def test_embedding_matches_independent_companion_rows(field):
     rng = random.Random(127)
     m = random_matrix(field, rng, 2, 3)
-    s = ScaledMatrix.from_exact(m)
-    assert s.to_exact() == m
+    s = scaled(m)
+    assert dense(s) == m
     scale = s.den * field.int_scale
     assert [[F(x, scale) for x in row] for row in s.embed()] == companion_rows(m)
 
@@ -170,8 +173,8 @@ def test_rank_over_non_integral_minpoly_matches_oracle(field):
         inner = rng.randint(1, 3)
         m = random_matrix(field, rng, rng.randint(1, 4), inner) * \
             random_matrix(field, rng, inner, rng.randint(1, 4))
-        ranks.add(rank_exact(m))
-        assert rank_exact(m) == exact_matrix_rank_oracle(m)
+        ranks.add(scaled(m).rank())
+        assert scaled(m).rank() == exact_matrix_rank_oracle(m)
     assert len(ranks) > 1
 
 
@@ -181,10 +184,10 @@ def test_product_is_zero_matches_dense_product(field):
     for _ in range(10):
         a = random_matrix(field, rng, 2, 2)
         x, y = a.entry(0, 0), a.entry(0, 1)
-        kernel = ExactMatrix.from_rows(field, [[y, -y], [-x, x]])  # row 0 of a kills it
+        kernel = DenseMatrix.from_rows(field, [[y, -y], [-x, x]])  # row 0 of a kills it
         b = random_matrix(field, rng, 2, 3)
-        for left, right in ((a, b), (ExactMatrix.from_rows(field, [[x, y]]), kernel)):
-            rows = [ScaledMatrix.from_exact(m).embed() for m in (left, right)]
+        for left, right in ((a, b), (DenseMatrix.from_rows(field, [[x, y]]), kernel)):
+            rows = [scaled(m).embed() for m in (left, right)]
             assert product_is_zero(*rows) == (left * right).is_zero()
     assert product_is_zero([], [[1, 2]])
 
@@ -193,7 +196,7 @@ def test_nonzero_composite_raises_invariant_error(fig8):
     # a fresh assignment whose image of b is replaced after the relator check
     rep = RepAssignment.build(fig8.presentation, fig8.rep.images)
     (a_img,), (b_img,) = rep.images
-    object.__setattr__(rep, "images", ((a_img,), (b_img.transpose(),)))
+    object.__setattr__(rep, "images", ((a_img,), (scaled(dense(b_img).transpose()),)))
     with pytest.raises(InvariantError, match="J\\*D is nonzero"):
         presentation_complex(fig8.presentation, rep, (2,))
     with pytest.raises(InvariantError, match="J\\*D is nonzero"):

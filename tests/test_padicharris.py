@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from l2approx import padicharris
-from l2approx.exactalg import ExactMatrix, InvariantError, QQ, StructuralError
+from l2approx.exactalg import InvariantError, QQ, ScaledMatrix, StructuralError
 from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix,
                                 GroupPresentation, IDENTITY_WORD, word_from_string)
 from l2approx.padicharris import (congruence_quotient, congruence_quotient_map,
@@ -69,18 +69,18 @@ class TestCongruenceQuotient:
 
 class TestReduction:
     def test_rational_entries_reduced_with_inverse_denominator(self):
-        g = ExactMatrix.from_rows(QQ, [[1 + 3, 0], [0, F(1, 4)]])
+        g = ScaledMatrix.from_rows(QQ, [[1 + 3, 0], [0, F(1, 4)]])
         a, b, c, d = reduce_matrix_mod(g, 3, 2)
         assert (a, b, c) == (4, 0, 0)
         assert d == pow(4, -1, 9)
 
     def test_denominator_divisible_by_p_rejected(self):
-        g = ExactMatrix.from_rows(QQ, [[1, F(1, 3)], [0, 1]])
+        g = ScaledMatrix.from_rows(QQ, [[1, F(1, 3)], [0, 1]])
         with pytest.raises(ValueError):
             reduce_matrix_mod(g, 3, 2)
 
     def test_image_not_congruent_rejected(self):
-        g = ExactMatrix.from_rows(QQ, [[1, 1], [0, 1]])
+        g = ScaledMatrix.from_rows(QQ, [[1, 1], [0, 1]])
         with pytest.raises(ValueError):
             reduce_matrix_mod(g, 3, 2)
 
@@ -126,7 +126,7 @@ class TestHarris:
         assert via_luck == via_harris
 
     def test_image_outside_first_congruence_subgroup_rejected(self):
-        bad = [[ExactMatrix.from_rows(QQ, [[1, 1], [0, 1]])]]
+        bad = [[ScaledMatrix.from_rows(QQ, [[1, 1], [0, 1]])]]
         with pytest.raises(ValueError):
             harris_sequence(t_minus_one(), z_presentation(), bad, 3, [2])
 

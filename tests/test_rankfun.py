@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from l2approx.exactalg import ExactMatrix, QQ, rank_exact, StructuralError
+from l2approx.exactalg import QQ, ScaledMatrix, StructuralError
 from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix,
                                 GroupPresentation, IDENTITY_WORD,
                                 free_reduce, ga_block_diag, ga_block_triangular,
@@ -17,7 +17,7 @@ from l2approx.rankfun import (AbelianTupleOps, FiniteAlgebraMatrix, FiniteQuotie
                               sylvester_rank, twisted_finite_rank)
 from l2approx.repweights import ParityError, evaluate
 
-from oracles import dense_regular_rank
+from oracles import companion_rows, dense, dense_regular_rank, gauss_rank
 
 
 def random_element(rng, field, names, word_len=4, coeff_span=2, terms=3):
@@ -71,7 +71,7 @@ class TestSylvesterRank:
 
     def test_relator_sign_gate(self):
         pres = GroupPresentation(("g",), (word_from_string("gg", ("g",)),))
-        j = ExactMatrix.from_rows(QQ, [[0, 1], [-1, 0]])
+        j = ScaledMatrix.from_rows(QQ, [[0, 1], [-1, 0]])
         from l2approx.repweights import RepAssignment
         rep = RepAssignment.build(pres, [(j,)])
         a = GroupAlgebraMatrix.single(GroupAlgebraElement.from_dict(QQ, {IDENTITY_WORD: 1}))
@@ -114,7 +114,6 @@ class TestSylvesterRank:
 
     def test_field_independence_through_companion(self, fig8):
         # evaluating over Q(w) then embedding to Q rescales the rank by the degree
-        from l2approx.exactalg import companion_embed
         rng = random.Random(44)
         names = fig8.presentation.generator_names
         for _ in range(8):
@@ -122,9 +121,8 @@ class TestSylvesterRank:
             lam = (rng.randint(0, 3),)
             d = lam[0] + 1
             ranked = sylvester_rank(a, fig8.rep, lam)
-            mat = evaluate(a, fig8.rep, lam)
-            emb = companion_embed(mat)
-            assert F(rank_exact(emb), d * fig8.field.degree) == ranked
+            emb = companion_rows(dense(evaluate(a, fig8.rep, lam)))
+            assert F(gauss_rank(emb), d * fig8.field.degree) == ranked
 
     def test_field_mismatch_rejected(self, fig8):
         a = GroupAlgebraMatrix.single(GroupAlgebraElement.from_dict(QQ, {IDENTITY_WORD: 1}))
@@ -236,6 +234,21 @@ class TestFiniteVnRank:
         a = FiniteAlgebraMatrix.single(QQ, {g: 1})
         with pytest.raises(MemoryCapError):
             finite_vn_rank(a, ops, cap=32)
+
+    def test_memory_cap_guards_the_twisted_path_too(self, monkeypatch):
+        # t - 1 over C8: |Q| * max(r, s) = 8 on both entry points
+        ops = PermutationOps(8)
+        t = cyclic_generator(8)
+        elements = subgroup_closure(ops, [t], 10)
+        a = FiniteAlgebraMatrix.single(QQ, {t: 1, ops.identity: -1})
+        chi = {ops.identity: 1}
+        assert twisted_finite_rank(a, ops, elements, [ops.identity], chi) == F(7, 8)
+        monkeypatch.setenv("L2APPROX_MEMORY_CAP", "1")
+        for rank in (lambda: finite_vn_rank(a, ops, elements=elements),
+                     lambda: twisted_finite_rank(a, ops, elements, [ops.identity], chi)):
+            with pytest.raises(MemoryCapError,
+                               match=r"\|Q\| \* max\(r, s\) = 8 exceeds the cap \(1\)"):
+                rank()
 
     def test_memory_cap_from_environment(self, monkeypatch):
         monkeypatch.setenv("L2APPROX_MEMORY_CAP", "96")

@@ -5,22 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l2approx.exactalg import ExactMatrix, NumberField, QQ, StructuralError
+from l2approx.exactalg import NumberField, QQ, ScaledMatrix, StructuralError
 from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
                                 IDENTITY_WORD, Word, free_reduce, word_from_string)
 from l2approx.repweights import (ParityError, RepAssignment, central_character_value,
                                  evaluate, sym_power, validate_weight, weight_dim,
                                  weight_rep)
 
-from oracles import rational_rows, sympy_sym_power
+from oracles import DenseMatrix, dense, rational_rows, scaled, sympy_sym_power
+
+
+def sym(g, lam):
+    """sym_power of a dense 2x2 matrix, viewed densely."""
+    return dense(sym_power(scaled(g), lam))
+
+
+def wrep(gs, lam):
+    return dense(weight_rep([scaled(g) for g in gs], lam))
 
 
 def elementary_product(moves):
     """SL2(Q) matrix from a list of (is_upper, amount) shear moves."""
-    m = ExactMatrix.identity(QQ, 2)
+    m = DenseMatrix.identity(QQ, 2)
     for upper, t in moves:
         rows = [[1, t], [0, 1]] if upper else [[1, 0], [t, 1]]
-        m = m * ExactMatrix.from_rows(QQ, rows)
+        m = m * DenseMatrix.from_rows(QQ, rows)
     return m
 
 
@@ -33,31 +42,31 @@ QW = NumberField((F(1), F(-1), F(1)))
 
 def rand_sl2_q(rng):
     # random SL2(Q) matrix from a short product of elementary matrices
-    m = ExactMatrix.identity(QQ, 2)
+    m = DenseMatrix.identity(QQ, 2)
     for _ in range(rng.randint(1, 4)):
         t = rng.randint(-3, 3)
         if rng.random() < 0.5:
-            e = ExactMatrix.from_rows(QQ, [[1, t], [0, 1]])
+            e = DenseMatrix.from_rows(QQ, [[1, t], [0, 1]])
         else:
-            e = ExactMatrix.from_rows(QQ, [[1, 0], [t, 1]])
+            e = DenseMatrix.from_rows(QQ, [[1, 0], [t, 1]])
         m = m * e
     return m
 
 
 class TestSymPower:
     def test_lambda_zero_is_trivial(self):
-        g = ExactMatrix.from_rows(QQ, [[1, 5], [0, 1]])
-        assert sym_power(g, 0) == ExactMatrix.identity(QQ, 1)
+        g = DenseMatrix.from_rows(QQ, [[1, 5], [0, 1]])
+        assert sym(g, 0) == DenseMatrix.identity(QQ, 1)
 
     def test_lambda_one_is_the_matrix_itself(self):
         rng = random.Random(2)
         for _ in range(10):
             g = rand_sl2_q(rng)
-            assert sym_power(g, 1) == g
+            assert sym(g, 1) == g
 
     def test_unipotent_square(self):
-        g = ExactMatrix.from_rows(QQ, [[1, 1], [0, 1]])
-        assert rational_rows(sym_power(g, 2)) == [
+        g = DenseMatrix.from_rows(QQ, [[1, 1], [0, 1]])
+        assert rational_rows(sym(g, 2)) == [
             [F(1), F(1), F(1)], [F(0), F(1), F(2)], [F(0), F(0), F(1)]]
 
     def test_matches_symbolic_expansion_oracle(self):
@@ -65,7 +74,7 @@ class TestSymPower:
         for _ in range(8):
             g = rand_sl2_q(rng)
             lam = rng.randint(0, 4)
-            got = rational_rows(sym_power(g, lam))
+            got = rational_rows(sym(g, lam))
             expected = sympy_sym_power(rational_rows(g), lam)
             assert got == expected
 
@@ -74,62 +83,69 @@ class TestSymPower:
         for _ in range(8):
             g, h = rand_sl2_q(rng), rand_sl2_q(rng)
             lam = rng.randint(0, 4)
-            assert sym_power(g * h, lam) == sym_power(g, lam) * sym_power(h, lam)
+            assert sym(g * h, lam) == sym(g, lam) * sym(h, lam)
 
     @given(sl2q, sl2q, st.integers(min_value=0, max_value=4))
     @settings(max_examples=60, deadline=None)
     def test_multiplicative_property(self, g, h, lam):
-        assert sym_power(g * h, lam) == sym_power(g, lam) * sym_power(h, lam)
+        assert sym(g * h, lam) == sym(g, lam) * sym(h, lam)
 
     def test_multiplicative_over_number_field(self):
         w = QW.gen()
-        a = ExactMatrix.from_rows(QW, [[QW.one, w], [QW.zero, QW.one]])
-        b = ExactMatrix.from_rows(QW, [[QW.one, QW.zero], [-w, QW.one]])
+        a = DenseMatrix.from_rows(QW, [[QW.one, w], [QW.zero, QW.one]])
+        b = DenseMatrix.from_rows(QW, [[QW.one, QW.zero], [-w, QW.one]])
         for lam in (2, 3, 5):
-            assert sym_power(a * b, lam) == sym_power(a, lam) * sym_power(b, lam)
+            assert sym(a * b, lam) == sym(a, lam) * sym(b, lam)
 
     def test_inverse_property(self):
         rng = random.Random(8)
         for _ in range(6):
             g = rand_sl2_q(rng)
             lam = rng.randint(1, 4)
-            ginv = ExactMatrix.from_rows(QQ, [
+            ginv = DenseMatrix.from_rows(QQ, [
                 [g.entry(1, 1), -g.entry(0, 1)], [-g.entry(1, 0), g.entry(0, 0)]])
-            assert sym_power(g, lam) * sym_power(ginv, lam) == \
-                ExactMatrix.identity(QQ, lam + 1)
+            assert sym(g, lam) * sym(ginv, lam) == \
+                DenseMatrix.identity(QQ, lam + 1)
 
     def test_det_not_one_rejected(self):
-        with pytest.raises(ValueError):
-            sym_power(ExactMatrix.from_rows(QQ, [[2, 0], [0, 2]]), 2)
+        # the det = 1 gate runs once, on the integer entries of the 2x2 images
+        pres = GroupPresentation(("a",), ())
+        w = QW.gen()
+        for field, rows in ((QQ, [[2, 0], [0, 2]]), (QQ, [[F(1, 2), 0], [0, F(3, 2)]]),
+                            (QW, [[w, 0], [0, w]])):
+            with pytest.raises(ValueError, match="determinant is not 1"):
+                RepAssignment.build(pres, [[ScaledMatrix.from_rows(field, rows)]])
+        good = ScaledMatrix.from_rows(QW, [[w, 0], [0, QW.one - w]])
+        assert RepAssignment.build(pres, [[good]]).images == ((good,),)
 
 
 class TestWeightRep:
     def test_dimension_product(self):
         rng = random.Random(10)
         g1, g2 = rand_sl2_q(rng), rand_sl2_q(rng)
-        m = weight_rep([g1, g2], (2, 3))
+        m = wrep([g1, g2], (2, 3))
         assert (m.rows, m.cols) == (12, 12)
         assert weight_dim((2, 3)) == 12
 
     def test_identity_images(self):
-        ident = ExactMatrix.identity(QQ, 2)
-        assert weight_rep([ident, ident], (1, 2)) == ExactMatrix.identity(QQ, 6)
+        ident = DenseMatrix.identity(QQ, 2)
+        assert wrep([ident, ident], (1, 2)) == DenseMatrix.identity(QQ, 6)
 
     def test_single_factor_reduces_to_sym_power(self):
         rng = random.Random(12)
         g = rand_sl2_q(rng)
-        assert weight_rep([g], (3,)) == sym_power(g, 3)
+        assert wrep([g], (3,)) == sym(g, 3)
 
     def test_multiplicative_across_factors(self):
         rng = random.Random(14)
         g1, g2, h1, h2 = (rand_sl2_q(rng) for _ in range(4))
         lam = (1, 2)
-        assert weight_rep([g1 * h1, g2 * h2], lam) == \
-            weight_rep([g1, g2], lam) * weight_rep([h1, h2], lam)
+        assert wrep([g1 * h1, g2 * h2], lam) == \
+            wrep([g1, g2], lam) * wrep([h1, h2], lam)
 
     def test_length_mismatch(self):
         with pytest.raises(StructuralError):
-            weight_rep([ExactMatrix.identity(QQ, 2)], (1, 2))
+            wrep([DenseMatrix.identity(QQ, 2)], (1, 2))
 
 
 class TestCentralCharacter:
@@ -143,22 +159,24 @@ class TestCentralCharacter:
         assert central_character_value((3, 5), (1, 1)) == 1
 
     def test_matrix_inputs(self):
-        ident = ExactMatrix.identity(QQ, 2)
-        assert central_character_value((3, 2), (-ident, -ident)) == -1
+        plus = ScaledMatrix.from_rows(QQ, [[1, 0], [0, 1]])
+        minus = ScaledMatrix.from_rows(QQ, [[-1, 0], [0, -1]])
+        assert central_character_value((3, 2), (minus, minus)) == -1
+        assert central_character_value((3, 2), (plus, minus)) == 1
 
     def test_non_central_rejected(self):
         with pytest.raises(ValueError):
-            central_character_value((2,), (ExactMatrix.from_rows(QQ, [[1, 1], [0, 1]]),))
+            central_character_value((2,), (ScaledMatrix.from_rows(QQ, [[1, 1], [0, 1]]),))
 
     def test_scalar_action_of_central_elements(self):
         rng = random.Random(16)
         g1, g2 = rand_sl2_q(rng), rand_sl2_q(rng)
         lam = (2, 3)
-        neg = ExactMatrix.from_rows(QQ, [[-1, 0], [0, -1]])
-        scaled = weight_rep([neg * g1, neg * g2], lam)
-        plain = weight_rep([g1, g2], lam)
+        neg = DenseMatrix.from_rows(QQ, [[-1, 0], [0, -1]])
+        negated = wrep([neg * g1, neg * g2], lam)
+        plain = wrep([g1, g2], lam)
         sign = central_character_value(lam, (-1, -1))
-        assert scaled == plain.scalar_mul(QQ.from_rational(sign))
+        assert negated == plain.scalar_mul(QQ.from_rational(sign))
 
 
 class TestRepAssignment:
@@ -166,8 +184,8 @@ class TestRepAssignment:
         # g of order 4 presented as an involution: the relator g*g maps to -Id,
         # a projective action that only exists on even weights
         pres = GroupPresentation(("g",), (word_from_string("gg", ("g",)),))
-        j = ExactMatrix.from_rows(QQ, [[0, 1], [-1, 0]])
-        rep = RepAssignment.build(pres, [(j,)])
+        j = DenseMatrix.from_rows(QQ, [[0, 1], [-1, 0]])
+        rep = RepAssignment.build(pres, [(scaled(j),)])
         assert rep.relator_signs == ((-1,),)
         assert rep.is_admissible((2,))
         with pytest.raises(ParityError) as exc:
@@ -175,17 +193,17 @@ class TestRepAssignment:
         assert exc.value.factor == 0
         # weight_rep of the relator is (-1)^lambda * Identity
         for lam in (2, 3):
-            img = weight_rep([j * j], (lam,))
+            img = wrep([j * j], (lam,))
             sign = central_character_value((lam,), (-1,))
-            assert img == ExactMatrix.identity(QQ, lam + 1).scalar_mul(
+            assert img == DenseMatrix.identity(QQ, lam + 1).scalar_mul(
                 QQ.from_rational(sign))
 
     def test_two_factor_sign_cancellation(self):
         # relator maps to -Id in both factors: odd-odd weights are admissible
         # because the signs cancel on the tensor product
         pres = GroupPresentation(("g",), (word_from_string("gg", ("g",)),))
-        j = ExactMatrix.from_rows(QQ, [[0, 1], [-1, 0]])
-        rep = RepAssignment.build(pres, [(j, j)])
+        j = DenseMatrix.from_rows(QQ, [[0, 1], [-1, 0]])
+        rep = RepAssignment.build(pres, [(scaled(j), scaled(j))])
         assert rep.relator_signs == ((-1, -1),)
         assert rep.is_admissible((1, 1))
         assert rep.is_admissible((2, 2))
@@ -193,18 +211,18 @@ class TestRepAssignment:
         with pytest.raises(ParityError) as exc:
             rep.check_admissible((1, 2))
         assert exc.value.factor == 0
-        img = weight_rep([j * j, j * j], (1, 1))
-        assert img == ExactMatrix.identity(QQ, 4)
+        img = wrep([j * j, j * j], (1, 1))
+        assert img == DenseMatrix.identity(QQ, 4)
 
     def test_relator_must_map_to_plus_minus_identity(self):
         pres = GroupPresentation(("a",), (word_from_string("aa", ("a",)),))
-        g = ExactMatrix.from_rows(QQ, [[1, 1], [0, 1]])
+        g = ScaledMatrix.from_rows(QQ, [[1, 1], [0, 1]])
         with pytest.raises(ValueError):
             RepAssignment.build(pres, [(g,)])
 
     def test_det_checked_per_factor(self):
         pres = GroupPresentation(("a",), ())
-        bad = ExactMatrix.from_rows(QQ, [[1, 0], [0, 2]])
+        bad = ScaledMatrix.from_rows(QQ, [[1, 0], [0, 2]])
         with pytest.raises(ValueError):
             RepAssignment.build(pres, [(bad,)])
 
@@ -227,10 +245,10 @@ class TestRepAssignment:
 def two_factor_rep():
     """Free group on a, b in SL2(Q(w)) x SL2(Q(w)), w^2 = w - 1."""
     w, one, zero = QW.gen(), QW.one, QW.zero
-    a_images = [ExactMatrix.from_rows(QW, [[one, w], [zero, one]]),
-                ExactMatrix.from_rows(QW, [[one, one], [zero, one]])]
-    b_images = [ExactMatrix.from_rows(QW, [[one, zero], [w, one]]),
-                ExactMatrix.from_rows(QW, [[w, zero], [zero, one - w]])]
+    a_images = [ScaledMatrix.from_rows(QW, [[one, w], [zero, one]]),
+                ScaledMatrix.from_rows(QW, [[one, one], [zero, one]])]
+    b_images = [ScaledMatrix.from_rows(QW, [[one, zero], [w, one]]),
+                ScaledMatrix.from_rows(QW, [[w, zero], [zero, one - w]])]
     return RepAssignment.build(GroupPresentation(("a", "b"), ()), [a_images, b_images])
 
 
@@ -238,10 +256,10 @@ class TestEvaluate:
     def test_inverse_letters_invert_the_weight_images(self):
         rep = two_factor_rep()
         for lam in ((0, 1), (2, 1), (3, 2)):
-            images = rep.weight_images(lam)
-            ident = ExactMatrix.identity(QW, weight_dim(lam))
+            images = [dense(weight_rep(tup, lam)) for tup in rep.images]
+            ident = DenseMatrix.identity(QW, weight_dim(lam))
             for j, img in enumerate(images):
-                inv = evaluate(GroupAlgebraElement.of_word(QW, Word(((j, -1),))), rep, lam)
+                inv = dense(evaluate(GroupAlgebraElement.of_word(QW, Word(((j, -1),))), rep, lam))
                 assert inv * img == ident
                 assert img * inv == ident
 
@@ -249,16 +267,16 @@ class TestEvaluate:
         rng = random.Random(21)
         rep = two_factor_rep()
         lam = (2, 1)
-        images = rep.weight_images(lam)
-        inverses = [evaluate(GroupAlgebraElement.of_word(QW, Word(((j, -1),))), rep, lam)
+        images = [dense(weight_rep(tup, lam)) for tup in rep.images]
+        inverses = [dense(evaluate(GroupAlgebraElement.of_word(QW, Word(((j, -1),))), rep, lam))
                     for j in range(len(images))]
         for _ in range(15):
             w = free_reduce([(rng.randrange(2), rng.choice((1, -1)))
                              for _ in range(rng.randint(0, 6))])
-            dense = ExactMatrix.identity(QW, weight_dim(lam))
+            product = DenseMatrix.identity(QW, weight_dim(lam))
             for idx, exp in w.letters:
-                dense = dense * (images[idx] if exp == 1 else inverses[idx])
-            assert evaluate(GroupAlgebraElement.of_word(QW, w), rep, lam) == dense
+                product = product * (images[idx] if exp == 1 else inverses[idx])
+            assert dense(evaluate(GroupAlgebraElement.of_word(QW, w), rep, lam)) == product
 
     def test_matrix_blocks_are_entry_images(self):
         rep = two_factor_rep()
@@ -267,10 +285,10 @@ class TestEvaluate:
         x = GroupAlgebraElement.from_dict(QW, {word_from_string("aB", names): 2,
                                                IDENTITY_WORD: -1})
         y = GroupAlgebraElement.of_word(QW, word_from_string("ba", names), QW.gen())
-        out = evaluate(GroupAlgebraMatrix.from_rows(QW, [[x, y]]), rep, lam)
+        out = dense(evaluate(GroupAlgebraMatrix.from_rows(QW, [[x, y]]), rep, lam))
         d = weight_dim(lam)
         assert (out.rows, out.cols) == (d, 2 * d)
         for k, cell in enumerate((x, y)):
-            block = evaluate(cell, rep, lam)
+            block = dense(evaluate(cell, rep, lam))
             assert all(out.entry(i, k * d + j) == block.entry(i, j)
                        for i in range(d) for j in range(d))
