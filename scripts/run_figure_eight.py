@@ -23,12 +23,11 @@ def main() -> int:
     print("lambda  d    (h0,h1,h2)  h1/d")
     lams = list(range(2, max_lam + 1, 2))
     for lam in lams:
-        rpt = homology_dims(entry.presentation, entry.rep, (lam,), aspherical=True)
+        rpt = homology_dims(entry.presentation, entry.rep, (lam,))
         print(f"{lam:5d}  {rpt.d:3d}  {rpt.dims()}  {Fraction(rpt.h1, rpt.d)}")
     if len(lams) >= 4:
-        sched = weight_schedule((1,), lams, rep=entry.rep)
-        est = betti_estimate(entry.presentation, entry.rep, sched, 1,
-                             target=entry.targets[1], aspherical=True)
+        weights = weight_schedule((1,), lams, rep=entry.rep)
+        est = betti_estimate(entry.presentation, entry.rep, weights, 1, target=entry.targets[1])
         print()
         print(est.summary())
     else:

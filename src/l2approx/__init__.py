@@ -1,7 +1,7 @@
 """Exact rank functions, twisted homology dimensions, and finite-quotient
 approximation experiments for groups inside products of SL2."""
 
-from .exactalg import FieldElement, NumberField, QQ, Rational, ScaledMatrix
+from .exactalg import FieldElement, NumberField, QQ, ScaledMatrix
 from .groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
                         IDENTITY_WORD, Word, free_reduce, word_from_string)
 from .repweights import (ParityError, RepAssignment, WeightVector,
@@ -10,11 +10,9 @@ from .foxhomology import (HomologyReport, boundary_stack, fox_derivative, fox_ja
                           homology_dims, invariants_dim, presentation_complex)
 from .rankfun import (FiniteAlgebraMatrix, FiniteQuotientMap, RankValue,
                       characters_of_cyclic, cyclotomic_field, finite_vn_rank,
-                      luck_rank, luck_sequence, sylvester_rank, twisted_finite_rank)
-from .padicharris import (CongruenceQuotient, HarrisRow, congruence_quotient,
-                          harris_sequence)
-from .limitlab import (ConvergenceReport, WeightSchedule, betti_estimate,
-                       convergence_fit, weight_schedule)
+                      luck_rank, sylvester_rank, twisted_finite_rank)
+from .padicharris import HarrisRow, harris_sequence
+from .limitlab import ConvergenceReport, betti_estimate, convergence_fit, weight_schedule
 from .census import CensusEntry, builtin_catalog, builtin_entry, load_entry
 
 __version__ = "0.1.0"

@@ -204,25 +204,24 @@ def parse_representation(text: str, generator_names: Sequence[str],
     return field, table
 
 
-def load_entry(presentation_path: Union[str, Path], representation_path: Union[str, Path],
-               name: Optional[str] = None) -> CensusEntry:
+def load_entry(presentation_path: Union[str, Path],
+               representation_path: Union[str, Path]) -> CensusEntry:
     """Load and validate a presentation/representation file pair."""
     pres_text = Path(presentation_path).read_text()
     rep_text = Path(representation_path).read_text()
-    return load_entry_text(pres_text, rep_text, name=name,
+    return load_entry_text(pres_text, rep_text,
                            pres_path=str(presentation_path), rep_path=str(representation_path))
 
 
-def load_entry_text(pres_text: str, rep_text: str, name: Optional[str] = None,
+def load_entry_text(pres_text: str, rep_text: str,
                     pres_path: str = "<presentation>", rep_path: str = "<representation>") -> CensusEntry:
     meta = parse_presentation(pres_text, pres_path)
     presentation = build_presentation(meta, pres_path)
     field, images = parse_representation(rep_text, presentation.generator_names, rep_path)
     rep = RepAssignment.build(presentation, images)
-    entry_name = name or meta["name"]
-    if not entry_name:
+    if not meta["name"]:
         raise CensusFormatError(f"{pres_path}: entry has no name")
-    return CensusEntry(entry_name, presentation, rep, field, meta["aspherical"],
+    return CensusEntry(meta["name"], presentation, rep, field, meta["aspherical"],
                        meta["targets"], meta["cusps"], meta["euler"], meta["provenance"])
 
 

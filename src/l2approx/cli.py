@@ -29,9 +29,20 @@ from .exactalg import InvariantError, QQ, ScaledMatrix, StructuralError
 from .groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
                         IDENTITY_WORD, free_reduce, word_from_string)
 from .limitlab import _dec
-from .repweights import ParityError, weight_dim
+from .repweights import ParityError, WeightVector, weight_dim
 
-MODES = ("homology", "rank", "limit", "luck", "harris")
+_ENTRY_FIELDS = ("entry", "presentation", "representation")
+_MATRIX_FIELDS = ("matrix", "matrix_file", "rows", "cols", "word_len", "seed")
+# the ExperimentConfig fields each mode reads besides `mode` and `out`; any
+# other field given by a flag or a config key is a ConfigError
+MODE_FIELDS = {
+    "homology": _ENTRY_FIELDS + ("weights", "direction"),
+    "rank": _ENTRY_FIELDS + ("weights", "direction", "target") + _MATRIX_FIELDS,
+    "limit": _ENTRY_FIELDS + ("weights", "direction", "degree", "target"),
+    "luck": _ENTRY_FIELDS + ("quotients", "target") + _MATRIX_FIELDS,
+    "harris": ("p", "levels", "element", "seed", "word_len", "target"),
+}
+MODES = tuple(MODE_FIELDS)
 MATRIX_SOURCES = ("fox-jacobian", "boundary-stack", "file", "random")
 HARRIS_ELEMENTS = ("unipotent", "diagonal", "random")
 
@@ -275,7 +286,7 @@ def _build_matrix(cfg: ExperimentConfig, entry: census.CensusEntry) -> GroupAlge
     raise ConfigError(f"unknown matrix source {source!r}")
 
 
-def _schedule(cfg: ExperimentConfig, entry: census.CensusEntry) -> limitlab.WeightSchedule:
+def _schedule(cfg: ExperimentConfig, entry: census.CensusEntry) -> tuple[WeightVector, ...]:
     if not cfg.weights:
         raise ConfigError("this mode needs --weights START:END:STEP")
     ks = _parse_weights(cfg.weights)
@@ -303,6 +314,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[str, str]:
     """Execute one experiment; returns (csv_text, summary_text)."""
     if cfg.mode not in MODES:
         raise ConfigError(f"--mode must be one of {', '.join(MODES)}")
+    unread = [f.name for f in dc_fields(cfg) if getattr(cfg, f.name) != f.default
+              and f.name not in ("mode", "out") + MODE_FIELDS[cfg.mode]]
+    if unread:
+        raise ConfigError(f"{cfg.mode} mode does not read "
+                          + ", ".join("--" + name.replace("_", "-") for name in unread))
     for flag, value, least in (("--rows", cfg.rows, 1), ("--cols", cfg.cols, 1),
                                ("--word-len", cfg.word_len, 0)):
         if value is not None and value < least:
@@ -325,9 +341,8 @@ def _run_homology(cfg: ExperimentConfig) -> tuple[str, str]:
     lines = [CSV_HEADER]
     summary = [f"mode: homology", f"entry: {entry.name}",
                f"h2 interpretation: {'group homology (aspherical)' if entry.aspherical else '2-complex homology'}"]
-    for lam in sched.weights:
-        rpt = foxhomology.homology_dims(entry.presentation, entry.rep, lam,
-                                        aspherical=entry.aspherical)
+    for lam in sched:
+        rpt = foxhomology.homology_dims(entry.presentation, entry.rep, lam)
         expected = entry.expected_dims(lam)
         for i, h in enumerate(rpt.dims()):
             tgt = None if expected is None else expected[i]
@@ -347,7 +362,7 @@ def _run_rank(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[str, s
     summary = [f"mode: rank", f"entry: {entry.name}",
                f"matrix: {cfg.matrix or 'boundary-stack'} ({a.rows}x{a.cols})"]
     pts = []
-    for lam in sched.weights:
+    for lam in sched:
         v = rankfun.sylvester_rank(a, entry.rep, lam)
         lines.append(_csv_row("rank", entry.name, _fmt_lambda(lam), min(lam), weight_dim(lam),
                               v, target, None if target is None else abs(v - target)))
@@ -355,7 +370,7 @@ def _run_rank(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[str, s
         pts.append((min(lam), v))
     if len(pts) >= limitlab.MIN_FIT_POINTS:
         try:
-            fit = limitlab.convergence_fit(pts, target=target, lams=sched.weights)
+            fit = limitlab.convergence_fit(pts, target=target, lams=sched)
             summary.append("fit:")
             summary.extend("  " + ln for ln in fit.summary().splitlines())
         except ValueError as e:
@@ -371,7 +386,7 @@ def _run_limit(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[str, 
     if target is None and entry.targets is not None:
         target = entry.targets[cfg.degree]
     rpt = limitlab.betti_estimate(entry.presentation, entry.rep, sched, cfg.degree,
-                                  target=target, aspherical=entry.aspherical)
+                                  target=target)
     lines = [CSV_HEADER]
     for pt in rpt.points:
         lines.append(_csv_row("limit", entry.name, _fmt_lambda(pt.lam), pt.min_lambda,
@@ -393,7 +408,7 @@ def _run_luck(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[str, s
         raise ConfigError("quotient moduli must be positive")
     a = _build_matrix(cfg, entry)
     chain = [rankfun.cyclic_power_quotient(entry.presentation, m) for m in moduli]
-    values = rankfun.luck_sequence(a, chain)
+    values = [rankfun.luck_rank(a, q) for q in chain]
     lines = [CSV_HEADER]
     summary = [f"mode: luck", f"entry: {entry.name}",
                f"matrix: {cfg.matrix or 'boundary-stack'} ({a.rows}x{a.cols})"]
@@ -433,11 +448,8 @@ def _run_harris(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[str,
                           3 if cfg.word_len is None else cfg.word_len, cfg.seed)
         label = f"random short-support element (seed {cfg.seed})"
     if target is None:
-        # known limit: 1 for a nonzero element, 0 for the zero element
-        nonzero = any(bool(e) for e in a.entries)
-        target = Fraction(1) if (a.rows == a.cols == 1 and nonzero) else None
-        if a.rows == a.cols == 1 and not nonzero:
-            target = Fraction(0)
+        # a is 1x1; known limit: 1 for a nonzero element, 0 for the zero element
+        target = Fraction(1 if a.entries[0] else 0)
     rows = padicharris.harris_sequence(a, pres, images, p, levels, target=target)
     lines = [CSV_HEADER]
     summary = [f"mode: harris", f"p: {p}", f"element: {label}",

@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
-Rational = Fraction
 Coeffish = Union[int, Fraction, "FieldElement"]
 
 

@@ -10,9 +10,9 @@ Dimensions in degrees 0, 1, 2 come from the two ranks:
 
     h0 = d - rk D,   h1 = g*d - rk D - rk J,   h2 = r*d - rk J.
 
-h2 is group homology only when the presentation 2-complex is aspherical;
-otherwise it is reported as homology of the complex.  The composite J*D and
-the Euler identity are verified exactly on every run.
+h2 is the homology of the presentation 2-complex; it is group homology only
+when that complex is aspherical (the census entry's `aspherical` flag).  The
+composite J*D and the Euler identity are verified exactly on every run.
 """
 
 from __future__ import annotations
@@ -131,21 +131,19 @@ class HomologyReport:
     h2: int
     rank_j: int
     rank_d: int
-    aspherical: bool  # True: h2 is group homology; False: homology of the 2-complex
 
     def dims(self) -> tuple[int, int, int]:
         return (self.h0, self.h1, self.h2)
 
 
-def homology_dims(p: GroupPresentation, rep: RepAssignment, lam: Sequence[int],
-                  aspherical: bool = False) -> HomologyReport:
+def homology_dims(p: GroupPresentation, rep: RepAssignment, lam: Sequence[int]) -> HomologyReport:
     """Twisted homology dimensions in degrees 0..2 from two exact ranks."""
     lam = rep.check_admissible(lam)
     d = weight_dim(lam)
     g, r = p.num_generators, p.num_relators
     if g == 0:
         # trivial group: W itself in degree 0
-        return HomologyReport(lam, d, d, 0, 0, 0, 0, aspherical)
+        return HomologyReport(lam, d, d, 0, 0, 0, 0)
     _, _, j_rows, d_rows = presentation_complex(p, rep, lam)
     rank_d = rank_rows(d_rows) // rep.field.degree
     rank_j = rank_rows(j_rows) // rep.field.degree
@@ -156,7 +154,7 @@ def homology_dims(p: GroupPresentation, rep: RepAssignment, lam: Sequence[int],
         raise InvariantError("Euler identity violated (rank computation inconsistent)")
     if min(h0, h1, h2) < 0:
         raise InvariantError("negative homology dimension (rank computation inconsistent)")
-    return HomologyReport(lam, d, h0, h1, h2, rank_j, rank_d, aspherical)
+    return HomologyReport(lam, d, h0, h1, h2, rank_j, rank_d)
 
 
 def invariants_dim(rep: RepAssignment, lam: Sequence[int]) -> int:

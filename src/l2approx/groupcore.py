@@ -84,14 +84,6 @@ def word_from_string(text: str, generator_names: Sequence[str]) -> Word:
     return free_reduce(letters)
 
 
-def word_to_string(w: Word, generator_names: Sequence[str]) -> str:
-    out = []
-    for i, e in w.letters:
-        name = generator_names[i]
-        out.append(name if e == 1 else name.upper())
-    return "".join(out)
-
-
 @dataclass(frozen=True)
 class GroupPresentation:
     """Finitely presented group: generators by name, relators as reduced words.
@@ -150,10 +142,6 @@ class GroupAlgebraElement:
     @staticmethod
     def zero(field: NumberField) -> "GroupAlgebraElement":
         return GroupAlgebraElement(field, ())
-
-    @staticmethod
-    def scalar(field: NumberField, c: Union[int, Fraction, FieldElement]) -> "GroupAlgebraElement":
-        return GroupAlgebraElement.from_dict(field, {IDENTITY_WORD: c})
 
     @staticmethod
     def of_word(field: NumberField, w: Word, c: Union[int, Fraction, FieldElement] = 1) -> "GroupAlgebraElement":

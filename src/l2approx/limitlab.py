@@ -1,5 +1,8 @@
 """Weight schedules, convergence estimation, and normalized Betti estimates.
 
+A weight schedule is a plain tuple of admissible weights k * direction for
+increasing k, which `betti_estimate` takes as given.
+
 The error model along a weight schedule is first-order in the reciprocal of
 the smallest factor dimension: with s = min(lambda) + 1,
 
@@ -25,26 +28,12 @@ from .repweights import RepAssignment, WeightVector
 MIN_FIT_POINTS = 4
 
 
-@dataclass(frozen=True)
-class WeightSchedule:
-    direction: tuple[int, ...]
-    ks: tuple[int, ...]
-    weights: tuple[WeightVector, ...]
-    parity: Optional[tuple[str, ...]] = None  # per-factor 'even' / 'odd' / 'any'
-
-    def __post_init__(self):
-        if not self.weights:
-            raise ValueError("schedule is empty")
-
-
 def weight_schedule(direction: Sequence[int], ks: Sequence[int],
-                    parity: Optional[Sequence[str]] = None,
-                    rep: Optional[RepAssignment] = None) -> WeightSchedule:
+                    rep: Optional[RepAssignment] = None) -> tuple[WeightVector, ...]:
     """Admissible weights lambda(k) = k * direction for increasing k.
 
-    `parity` optionally constrains each factor to 'even', 'odd' or 'any';
-    weights failing the constraints, or the representation's parity gate when
-    `rep` is given, are dropped.  An empty result is an error.
+    With `rep` given, weights failing the representation's parity gate are
+    dropped.  An empty result is an error.
     """
     direction = tuple(direction)
     if not direction or any(v < 1 for v in direction):
@@ -52,32 +41,16 @@ def weight_schedule(direction: Sequence[int], ks: Sequence[int],
     ks = tuple(ks)
     if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
         raise StructuralError("k values must be strictly increasing")
-    if parity is not None and len(parity) != len(direction):
-        raise StructuralError("parity constraints must match the factor count")
-    kept_ks, weights = [], []
+    weights = []
     for k in ks:
         if k < 1:
             raise StructuralError("k values must be positive")
         lam = tuple(k * v for v in direction)
-        if parity is not None:
-            ok = True
-            for l, p in zip(lam, parity):
-                if p == "even" and l % 2 == 1:
-                    ok = False
-                elif p == "odd" and l % 2 == 0:
-                    ok = False
-                elif p not in ("even", "odd", "any"):
-                    raise StructuralError(f"unknown parity constraint {p!r}")
-            if not ok:
-                continue
-        if rep is not None and not rep.is_admissible(lam):
-            continue
-        kept_ks.append(k)
-        weights.append(lam)
+        if rep is None or rep.is_admissible(lam):
+            weights.append(lam)
     if not weights:
         raise ValueError("no admissible weights remain after parity filtering")
-    return WeightSchedule(direction, tuple(kept_ks), tuple(weights),
-                          None if parity is None else tuple(parity))
+    return tuple(weights)
 
 
 @dataclass(frozen=True)
@@ -86,10 +59,6 @@ class ConvergencePoint:
     min_lambda: int
     value: Fraction
     error: Optional[Fraction]  # None when no reference value applies
-
-    @property
-    def scale(self) -> int:
-        return self.min_lambda + 1
 
 
 @dataclass(frozen=True)
@@ -184,19 +153,18 @@ def _fit_limit(pts: Sequence[tuple[int, Fraction]]) -> Fraction:
     return (sv * suu - su * suv) / det
 
 
-def betti_estimate(p: GroupPresentation, rep: RepAssignment, schedule: WeightSchedule,
-                   degree: int, target: Optional[Fraction] = None,
-                   aspherical: bool = False) -> ConvergenceReport:
-    """Normalized homology dimensions h_degree / dim W along the schedule,
-    fed to the convergence fit."""
+def betti_estimate(p: GroupPresentation, rep: RepAssignment, weights: Sequence[WeightVector],
+                   degree: int, target: Optional[Fraction] = None) -> ConvergenceReport:
+    """Normalized homology dimensions h_degree / dim W at the given weights
+    (a `weight_schedule`), fed to the convergence fit."""
     if degree not in (0, 1, 2):
         raise StructuralError("homology degree must be 0, 1 or 2")
     pts = []
-    for lam in schedule.weights:
-        rpt = homology_dims(p, rep, lam, aspherical=aspherical)
+    for lam in weights:
+        rpt = homology_dims(p, rep, lam)
         value = Fraction(rpt.dims()[degree], rpt.d)
         if value > p.num_generators and p.num_generators > 0:
             raise InvariantError(f"normalized value {value} at weight {lam} escapes the "
                                  f"middle-term bound {p.num_generators}")
         pts.append((min(lam), value))
-    return convergence_fit(pts, target=target, lams=schedule.weights)
+    return convergence_fit(pts, target=target, lams=weights)

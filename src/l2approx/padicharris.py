@@ -1,9 +1,11 @@
-"""Finite congruence quotients of the first congruence subgroup of SL2(Z_p)^n
-and rank approximation along the congruence chain.
+"""Rank approximation along the congruence chain of the first congruence
+subgroup U_1 of SL2(Z_p)^n.
 
 The level-i quotient U_1/U_i consists of n-tuples of 2x2 matrices over
 Z/p^i that are congruent to the identity mod p with determinant 1; its order
-is p^(3n(i-1)).  Ranks of pushed-forward matrices are computed exactly over Q
+is p^(3n(i-1)).  Generator images are reduced into U_1/U_i (`CongruenceOps`)
+and a pushed-forward matrix is ranked over the subgroup its support
+generates, so the full quotient is never enumerated.  Ranks are exact over Q
 (integer matrices, no p-adic precision arithmetic anywhere), normalized so
 that the known limit for a nonzero element is 1.
 """
@@ -12,14 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence
 
-from .exactalg import InvariantError, QQ, ScaledMatrix, StructuralError
+from .exactalg import QQ, ScaledMatrix, StructuralError
 from .groupcore import GroupAlgebraMatrix, GroupPresentation
-from .rankfun import FiniteQuotientMap, MemoryCapError, luck_rank
-
-DEFAULT_ORDER_CAP = 3 ** 6
+from .rankfun import FiniteQuotientMap, luck_rank
 
 Mat2 = tuple[int, int, int, int]  # row-major entries mod p^level
 CongElement = tuple[Mat2, ...]  # one 2x2 matrix per factor
@@ -64,52 +63,6 @@ class CongruenceOps:
         # determinant is 1 mod p^level, so the inverse is the adjugate
         m = self.modulus
         return tuple(((d, (-b) % m, (-c) % m, a)) for a, b, c, d in x)
-
-
-@dataclass(frozen=True)
-class CongruenceQuotient:
-    p: int
-    level: int
-    n: int
-    order: int
-    ops: CongruenceOps
-    elements: tuple[CongElement, ...]
-
-
-def congruence_quotient(p: int, level: int, n: int = 1,
-                        max_order: int = DEFAULT_ORDER_CAP) -> CongruenceQuotient:
-    """Complete enumeration of U_1/U_level for SL2(Z_p)^n.
-
-    Rejects p = 2 (the uniformity of the congruence subgroups needs p odd)
-    and orders above `max_order`.
-    """
-    if not _is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
-    if level < 1:
-        raise StructuralError("congruence level must be >= 1")
-    if n < 1:
-        raise StructuralError("factor count must be >= 1")
-    order = p ** (3 * n * (level - 1))
-    if order > max_order:
-        raise MemoryCapError(
-            f"quotient order {order} exceeds the enumeration cap {max_order}")
-    m = p ** level
-    k = p ** (level - 1)
-    factor: list[Mat2] = []
-    for ar, br, cr in product(range(k), repeat=3):
-        a = (1 + p * ar) % m
-        b = (p * br) % m
-        c = (p * cr) % m
-        d = (pow(a, -1, m) * (1 + b * c)) % m
-        if d % p != 1:
-            raise InvariantError("enumeration produced a non-congruence element")
-        factor.append((a, b, c, d))
-    elements = tuple(product(factor, repeat=n))
-    if len(elements) != order:
-        raise InvariantError(f"enumeration size {len(elements)} disagrees with the order "
-                             f"formula {order}")
-    ops = CongruenceOps(p, level, n)
-    return CongruenceQuotient(p, level, n, order, ops, elements)
 
 
 def reduce_matrix_mod(g: ScaledMatrix, p: int, level: int) -> Mat2:

@@ -5,7 +5,7 @@ Four families live here:
 * representation rank of a group-algebra matrix through a weight module,
 * von Neumann rank over a finite group (regular representation, exact),
 * twisted finite-group rank relative to a central character, and
-* Lueck ranks through finite quotient maps, including chains.
+* Lueck ranks through finite quotient maps.
 
 All values are exact `Fraction`s.  Regular representations are materialized
 over the subgroup generated by the matrix support rather than the whole
@@ -38,16 +38,18 @@ class MemoryCapError(RuntimeError):
     """Materializing the requested regular representation would exceed the cap."""
 
 
-def memory_cap(override: Optional[int] = None) -> int:
-    if override is not None:
-        return override
+def memory_cap() -> int:
+    """The cap from `L2APPROX_MEMORY_CAP`, or the default when it is unset."""
     env = os.environ.get(_MEMORY_CAP_ENV)
     if not env:
         return DEFAULT_MEMORY_CAP
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
         raise ValueError(f"{_MEMORY_CAP_ENV} must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise ValueError(f"{_MEMORY_CAP_ENV} must be positive, got {env!r}")
+    return cap
 
 
 class GroupOps(Protocol):
@@ -269,8 +271,7 @@ def _regular_rep(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequence,
 
 
 def finite_vn_rank(a: FiniteAlgebraMatrix, ops: GroupOps, *,
-                   elements: Optional[Sequence] = None,
-                   cap: Optional[int] = None) -> RankValue:
+                   elements: Optional[Sequence] = None) -> RankValue:
     """Exact von Neumann rank rk(a) = rank of the regular representation / |Q|.
 
     With `elements` given, the representation is materialized over exactly
@@ -279,7 +280,7 @@ def finite_vn_rank(a: FiniteAlgebraMatrix, ops: GroupOps, *,
     """
     if a.rows == 0 or a.cols == 0:
         return Fraction(0)
-    limit = memory_cap(cap)
+    limit = memory_cap()
     if elements is None:
         elements = subgroup_closure(ops, a.support(), max(1, limit // max(a.rows, a.cols)))
     mat, m = _regular_rep(a, ops, list(elements), [ops.identity], {ops.identity: a.field.one},
@@ -474,14 +475,7 @@ def luck_rank(a: GroupAlgebraMatrix, q: FiniteQuotientMap) -> RankValue:
     return finite_vn_rank(q.push(a), q.ops)
 
 
-def luck_sequence(a: GroupAlgebraMatrix, chain: Sequence[FiniteQuotientMap]) -> list[RankValue]:
-    """Per-level ranks along a chain of quotient maps (caller asserts that the
-    chain is nested with shrinking kernels)."""
-    return [luck_rank(a, q) for q in chain]
-
-
-def cyclic_power_quotient(presentation: GroupPresentation, modulus: int,
-                          name: str = "") -> FiniteQuotientMap:
+def cyclic_power_quotient(presentation: GroupPresentation, modulus: int) -> FiniteQuotientMap:
     """Quotient sending generator i of a free-abelian-style presentation to
     the i-th unit vector of (Z/modulus)^g."""
     g = presentation.num_generators
@@ -492,4 +486,4 @@ def cyclic_power_quotient(presentation: GroupPresentation, modulus: int,
         vec[i] = 1 % modulus
         images.append(tuple(vec))
     return FiniteQuotientMap.build(presentation, ops, images,
-                                   order=modulus ** g, name=name or f"(Z/{modulus})^{g}")
+                                   order=modulus ** g, name=f"(Z/{modulus})^{g}")

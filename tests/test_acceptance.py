@@ -20,8 +20,7 @@ from l2approx.padicharris import harris_sequence, unipotent_element_images
 from l2approx.rankfun import (FiniteAlgebraMatrix, FiniteQuotientMap, PermutationOps,
                               QuaternionOps, characters_of_cyclic, cyclic_generator,
                               cyclotomic_field, finite_vn_rank, luck_rank,
-                              luck_sequence, subgroup_closure, sylvester_rank,
-                              twisted_finite_rank)
+                              subgroup_closure, sylvester_rank, twisted_finite_rank)
 
 from oracles import companion_rows, dense, gauss_rank
 
@@ -57,12 +56,11 @@ def test_criterion_01_figure_eight_pipeline():
         fig8 = builtin_entry("figure-eight")
         lams = list(range(2, 21, 2))
         for lam in lams:
-            rpt = homology_dims(fig8.presentation, fig8.rep, (lam,), aspherical=True)
+            rpt = homology_dims(fig8.presentation, fig8.rep, (lam,))
             assert rpt.dims() == (0, 1, 1), f"lambda={lam}: {rpt.dims()}"
             assert F(rpt.h1, rpt.d) - 0 == F(1, lam + 1)
         sched = weight_schedule((1,), lams, rep=fig8.rep)
-        est = betti_estimate(fig8.presentation, fig8.rep, sched, 1,
-                             target=F(0), aspherical=True)
+        est = betti_estimate(fig8.presentation, fig8.rep, sched, 1, target=F(0))
         assert [pt.error for pt in est.points] == [F(1, l + 1) for l in lams]
         assert abs(est.fitted_exponent - (-1.0)) <= 0.1
         elapsed = time.monotonic() - t0
@@ -88,8 +86,7 @@ def test_criterion_03_free_group_target():
     with criterion(3, "Sanov F2 degree-1 ratio exactly 1 = b1 for lambda 1..12"):
         sanov = builtin_entry("sanov-f2")
         sched = weight_schedule((1,), range(1, 13))
-        est = betti_estimate(sanov.presentation, sanov.rep, sched, 1,
-                             target=F(1), aspherical=True)
+        est = betti_estimate(sanov.presentation, sanov.rep, sched, 1, target=F(1))
         assert len(est.points) == 12
         assert all(pt.value == 1 and pt.error == 0 for pt in est.points)
         assert est.exact
@@ -99,7 +96,7 @@ def test_criterion_04_amenable_vanishing():
     with criterion(4, "Z entry degree-1 error exactly 1/(lambda+1) toward 0 for lambda 1..20"):
         z = builtin_entry("z-unipotent")
         sched = weight_schedule((1,), range(1, 21))
-        est = betti_estimate(z.presentation, z.rep, sched, 1, target=F(0), aspherical=True)
+        est = betti_estimate(z.presentation, z.rep, sched, 1, target=F(0))
         assert [pt.error for pt in est.points] == [F(1, l + 1) for l in range(1, 21)]
 
 
@@ -199,7 +196,7 @@ def test_criterion_07_luck_chain():
         chain = [FiniteQuotientMap.build(pres, PermutationOps(2 ** j),
                                          [cyclic_generator(2 ** j)], order=2 ** j)
                  for j in range(1, 7)]
-        values = luck_sequence(a, chain)
+        values = [luck_rank(a, q) for q in chain]
         assert values == [1 - F(1, 2 ** j) for j in range(1, 7)]
         # consistent with the approximation limit rk(t - 1) = 1
         assert all(abs(v - 1) == F(1, 2 ** j) for j, v in enumerate(values, start=1))
@@ -236,8 +233,7 @@ def test_criterion_09_structural_identities():
             for lam in ((2,), (4,), (6,)):
                 J, D, _, _ = presentation_complex(entry.presentation, entry.rep, lam)
                 assert (dense(J) * dense(D)).is_zero()
-                rpt = homology_dims(entry.presentation, entry.rep, lam,
-                                    aspherical=entry.aspherical)
+                rpt = homology_dims(entry.presentation, entry.rep, lam)
                 assert rpt.h0 - rpt.h1 + rpt.h2 == rpt.d * (1 - g + r)
         # field independence through the companion embedding
         rng = random.Random(31415)
@@ -258,6 +254,6 @@ def test_criterion_10_whitehead_link():
     with criterion(10, "whitehead dims (0,2,2) for even lambda <= 10 (validator-passing data)"):
         wh = builtin_entry("whitehead")  # load_entry validation is the gate
         for lam in (2, 4, 6, 8, 10):
-            rpt = homology_dims(wh.presentation, wh.rep, (lam,), aspherical=True)
+            rpt = homology_dims(wh.presentation, wh.rep, (lam,))
             assert rpt.dims() == (0, 2, 2), f"lambda={lam}: {rpt.dims()}"
             assert rpt.dims() == wh.expected_dims((lam,))

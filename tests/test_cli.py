@@ -217,6 +217,36 @@ class TestErrors:
         assert main(mode_args + ["--config", str(cfgfile), "--out", out]) == 2
         assert capsys.readouterr().err == err
 
+    @pytest.mark.parametrize("mode_args, flags", [
+        (["--mode", "homology", "--entry", "figure-eight", "--weights", "2:2"],
+         [("--target", "1/3")]),
+        (["--mode", "limit", "--entry", "sanov-f2", "--weights", "1:4", "--degree", "1"],
+         [("--matrix", "random")]),
+        (["--mode", "rank", "--entry", "figure-eight", "--weights", "2:4:2"],
+         [("--quotients", "2")]),
+        (["--mode", "rank", "--entry", "figure-eight", "--weights", "2:4:2"],
+         [("--levels", "1:2")]),
+        (["--mode", "luck", "--entry", "z-unipotent", "--quotients", "2"], [("--p", "3")]),
+        (["--mode", "harris", "--p", "3", "--levels", "1:2"], [("--matrix", "fox-jacobian")]),
+        (["--mode", "harris", "--p", "3", "--levels", "1:2"],
+         [("--entry", "figure-eight"), ("--weights", "2:4"), ("--quotients", "2")])],
+        ids=["homology-target", "limit-matrix", "rank-quotients", "rank-levels", "luck-p",
+             "harris-matrix", "harris-entry-weights-quotients"])
+    def test_flags_the_mode_does_not_read_are_refused(self, tmp_path, capsys, mode_args,
+                                                      flags):
+        out = tmp_path / "x.csv"
+        expected = (f"error: ConfigError: {mode_args[1]} mode does not read "
+                    + ", ".join(flag for flag, _ in flags) + "\n")
+        extra = [arg for pair in flags for arg in pair]
+        assert main(mode_args + extra + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == expected
+        # the same keys from a config file
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("".join(f"{flag[2:]}={value}\n" for flag, value in flags))
+        assert main(mode_args + ["--config", str(cfgfile), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     def test_flags_are_the_config_fields(self):
         parser = cli.build_arg_parser()
         flags = [a.option_strings[0] for a in parser._actions if a.option_strings]

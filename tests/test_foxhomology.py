@@ -84,7 +84,7 @@ class TestPresentationComplex:
 
 class TestHomologyDims:
     def test_figure_eight_paper_values(self, fig8):
-        rpt = homology_dims(fig8.presentation, fig8.rep, (2,), aspherical=True)
+        rpt = homology_dims(fig8.presentation, fig8.rep, (2,))
         assert rpt.dims() == (0, 1, 1)
 
     def test_trivial_group(self):
@@ -95,7 +95,7 @@ class TestHomologyDims:
 
     def test_sanov_lambda_two(self, sanov):
         # invariants vanish, so h1 = 2d - d = d = 3
-        rpt = homology_dims(sanov.presentation, sanov.rep, (2,), aspherical=True)
+        rpt = homology_dims(sanov.presentation, sanov.rep, (2,))
         assert rpt.dims() == (0, 3, 0)
 
     def test_euler_identity_across_entries(self, fig8, whitehead, sanov, z_entry, z2):
@@ -103,8 +103,7 @@ class TestHomologyDims:
             g = entry.presentation.num_generators
             r = entry.presentation.num_relators
             for lam in ((2,), (4,), (6,)):
-                rpt = homology_dims(entry.presentation, entry.rep, lam,
-                                    aspherical=entry.aspherical)
+                rpt = homology_dims(entry.presentation, entry.rep, lam)
                 assert rpt.h0 - rpt.h1 + rpt.h2 == rpt.d * (1 - g + r)
 
     def test_report_carries_both_ranks(self, fig8):
@@ -118,7 +117,7 @@ class TestHomologyDims:
         assert exc.value.factor == 0
 
     def test_whitehead_paper_values(self, whitehead):
-        rpt = homology_dims(whitehead.presentation, whitehead.rep, (2,), aspherical=True)
+        rpt = homology_dims(whitehead.presentation, whitehead.rep, (2,))
         assert rpt.dims() == (0, 2, 2)
 
 
@@ -136,8 +135,7 @@ class TestInvariants:
         # homology-cohomology dimension agreement through the dual action
         for entry in (fig8, whitehead, sanov, z_entry, z2, c2):
             for lam in ((2,), (4,)):
-                rpt = homology_dims(entry.presentation, entry.rep, lam,
-                                    aspherical=entry.aspherical)
+                rpt = homology_dims(entry.presentation, entry.rep, lam)
                 assert rpt.h0 == invariants_dim(entry.rep, lam)
                 assert rpt.h0 == coinvariants_dim(entry.rep, lam)
 

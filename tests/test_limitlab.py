@@ -10,24 +10,17 @@ from oracles import loglog_slope_oracle
 
 class TestWeightSchedule:
     def test_single_factor_even_steps(self):
-        s = weight_schedule((1,), range(2, 11, 2))
-        assert s.weights == ((2,), (4,), (6,), (8,), (10,))
-
-    def test_parity_filter_drops_odd(self):
-        s = weight_schedule((1,), range(1, 7), parity=("even",))
-        assert s.weights == ((2,), (4,), (6,))
+        assert weight_schedule((1,), range(2, 11, 2)) == ((2,), (4,), (6,), (8,), (10,))
 
     def test_two_factor_direction(self):
-        s = weight_schedule((1, 2), range(1, 4))
-        assert s.weights == ((1, 2), (2, 4), (3, 6))
+        assert weight_schedule((1, 2), range(1, 4)) == ((1, 2), (2, 4), (3, 6))
 
-    def test_empty_after_filtering_is_an_error(self):
+    def test_empty_after_filtering_is_an_error(self, c2):
         with pytest.raises(ValueError):
-            weight_schedule((1,), (1, 3, 5), parity=("even",))
+            weight_schedule((1,), (1, 3, 5), rep=c2.rep)
 
     def test_rep_gate_filter(self, c2):
-        s = weight_schedule((1,), range(1, 7), rep=c2.rep)
-        assert s.weights == ((2,), (4,), (6,))
+        assert weight_schedule((1,), range(1, 7), rep=c2.rep) == ((2,), (4,), (6,))
 
     def test_direction_validation(self):
         with pytest.raises(StructuralError):
@@ -83,33 +76,29 @@ class TestConvergenceFit:
 class TestBettiEstimate:
     def test_figure_eight_degree_one(self, fig8):
         sched = weight_schedule((1,), range(2, 13, 2), rep=fig8.rep)
-        rpt = betti_estimate(fig8.presentation, fig8.rep, sched, 1,
-                             target=F(0), aspherical=True)
+        rpt = betti_estimate(fig8.presentation, fig8.rep, sched, 1, target=F(0))
         assert [pt.error for pt in rpt.points] == [F(1, l + 1) for l in range(2, 13, 2)]
         assert abs(rpt.fitted_exponent - (-1.0)) <= 0.1
 
     def test_figure_eight_no_target_limit_is_exactly_zero(self, fig8):
         sched = weight_schedule((1,), range(2, 13, 2), rep=fig8.rep)
-        rpt = betti_estimate(fig8.presentation, fig8.rep, sched, 1, aspherical=True)
+        rpt = betti_estimate(fig8.presentation, fig8.rep, sched, 1)
         assert rpt.fitted_limit == 0
 
     def test_sanov_degree_one_exact(self, sanov):
         sched = weight_schedule((1,), range(1, 9))
-        rpt = betti_estimate(sanov.presentation, sanov.rep, sched, 1,
-                             target=F(1), aspherical=True)
+        rpt = betti_estimate(sanov.presentation, sanov.rep, sched, 1, target=F(1))
         assert rpt.exact
 
     def test_z_entry_degree_one(self, z_entry):
         sched = weight_schedule((1,), range(1, 9))
-        rpt = betti_estimate(z_entry.presentation, z_entry.rep, sched, 1,
-                             target=F(0), aspherical=True)
+        rpt = betti_estimate(z_entry.presentation, z_entry.rep, sched, 1, target=F(0))
         assert [pt.error for pt in rpt.points] == [F(1, l + 1) for l in range(1, 9)]
 
     def test_degree_zero_vanishes_without_fixed_vectors(self, fig8, sanov):
         for entry in (fig8, sanov):
             sched = weight_schedule((1,), range(2, 9, 2), rep=entry.rep)
-            rpt = betti_estimate(entry.presentation, entry.rep, sched, 0,
-                                 target=F(0), aspherical=entry.aspherical)
+            rpt = betti_estimate(entry.presentation, entry.rep, sched, 0, target=F(0))
             assert rpt.exact
 
     def test_normalized_values_bounded_by_generator_count(self, fig8, sanov, z2):
@@ -117,9 +106,8 @@ class TestBettiEstimate:
         for entry in (fig8, sanov, z2):
             sched = weight_schedule((1,), range(2, 9, 2), rep=entry.rep)
             g = entry.presentation.num_generators
-            for lam in sched.weights:
-                r = homology_dims(entry.presentation, entry.rep, lam,
-                                  aspherical=entry.aspherical)
+            for lam in sched:
+                r = homology_dims(entry.presentation, entry.rep, lam)
                 for h in r.dims():
                     assert 0 <= F(h, r.d) <= g
 

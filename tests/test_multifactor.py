@@ -32,7 +32,7 @@ def test_factor_count_parsed(two_factor):
 
 @pytest.mark.parametrize("lam", [(1, 1), (2, 2), (2, 4), (5, 2), (3, 6)])
 def test_jordan_block_count_oracle(two_factor, lam):
-    rpt = homology_dims(two_factor.presentation, two_factor.rep, lam, aspherical=True)
+    rpt = homology_dims(two_factor.presentation, two_factor.rep, lam)
     expected_fixed = min(lam) + 1
     assert rpt.h0 == expected_fixed
     assert rpt.h1 == expected_fixed  # one generator: h1 = d - rank = h0
@@ -42,15 +42,13 @@ def test_jordan_block_count_oracle(two_factor, lam):
 
 def test_diagonal_schedule_error_is_reciprocal_min_dimension(two_factor):
     sched = weight_schedule((1, 1), range(1, 9))
-    est = betti_estimate(two_factor.presentation, two_factor.rep, sched, 1,
-                         target=F(0), aspherical=True)
+    est = betti_estimate(two_factor.presentation, two_factor.rep, sched, 1, target=F(0))
     assert [pt.error for pt in est.points] == [F(1, k + 1) for k in range(1, 9)]
     assert abs(est.fitted_exponent - (-1.0)) <= 0.1
 
 
 def test_unbalanced_direction_error_still_reciprocal_in_min(two_factor):
     sched = weight_schedule((1, 2), range(1, 7))
-    est = betti_estimate(two_factor.presentation, two_factor.rep, sched, 1,
-                         target=F(0), aspherical=True)
+    est = betti_estimate(two_factor.presentation, two_factor.rep, sched, 1, target=F(0))
     # min lambda = k, dims (k+1)(2k+1): error = (k+1)/((k+1)(2k+1)) = 1/(2k+1)
     assert [pt.error for pt in est.points] == [F(1, 2 * k + 1) for k in range(1, 7)]

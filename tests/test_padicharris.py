@@ -3,14 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from l2approx import padicharris
-from l2approx.exactalg import InvariantError, QQ, ScaledMatrix, StructuralError
+from l2approx.exactalg import QQ, ScaledMatrix, StructuralError
 from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix,
                                 GroupPresentation, IDENTITY_WORD, word_from_string)
-from l2approx.padicharris import (congruence_quotient, congruence_quotient_map,
+from l2approx.padicharris import (CongruenceOps, congruence_quotient_map,
                                   diagonal_element_images, harris_sequence,
                                   reduce_matrix_mod, unipotent_element_images)
-from l2approx.rankfun import MemoryCapError, luck_sequence
+from l2approx.rankfun import MemoryCapError, luck_rank, subgroup_closure
 
 
 def z_presentation():
@@ -23,48 +22,60 @@ def t_minus_one():
         GroupAlgebraElement.from_dict(QQ, {t: 1, IDENTITY_WORD: -1}))
 
 
+def congruence_generators(p, level, n):
+    """I + pE12, I + pE21 and diag(1 + p, (1 + p)^-1) in each factor, the
+    identity in the others: together they generate U_1/U_level."""
+    m = p ** level
+    ident = (1, 0, 0, 1)
+    mats = [(1, p, 0, 1), (1, 0, p, 1), (1 + p, 0, 0, pow(1 + p, -1, m))]
+    return [tuple(g if f == k else ident for f in range(n)) for k in range(n) for g in mats]
+
+
+def congruence_group(p, level, n=1, cap=10 ** 4):
+    ops = CongruenceOps(p, level, n)
+    return ops, subgroup_closure(ops, congruence_generators(p, level, n), cap)
+
+
 class TestCongruenceQuotient:
     def test_level_one_is_trivial(self):
-        q = congruence_quotient(3, 1, 1)
-        assert q.order == 1 and len(q.elements) == 1
+        ops, els = congruence_group(3, 1)
+        assert els == [ops.identity]
 
     def test_order_formula(self):
-        assert congruence_quotient(3, 2, 1).order == 27
-        assert congruence_quotient(5, 2, 1).order == 125
-        assert congruence_quotient(3, 2, 2, max_order=1000).order == 729
+        assert len(congruence_group(3, 2)[1]) == 27
+        assert len(congruence_group(5, 2)[1]) == 125
+        assert len(congruence_group(3, 2, 2)[1]) == 729
 
     def test_enumeration_matches_formula(self):
-        for p, i, n in ((3, 2, 1), (5, 2, 1)):
-            q = congruence_quotient(p, i, n)
-            assert len(set(q.elements)) == q.order == p ** (3 * n * (i - 1))
+        for p, i, n in ((3, 2, 1), (5, 2, 1), (3, 3, 1)):
+            els = congruence_group(p, i, n)[1]
+            assert len(set(els)) == len(els) == p ** (3 * n * (i - 1))
 
     def test_all_elements_congruent_to_identity_with_unit_det(self):
-        q = congruence_quotient(3, 2, 1)
-        m = 9
-        for (a, b, c, d), in q.elements:
+        for (a, b, c, d), in congruence_group(3, 2)[1]:
             assert a % 3 == 1 and d % 3 == 1 and b % 3 == 0 and c % 3 == 0
-            assert (a * d - b * c) % m == 1
+            assert (a * d - b * c) % 9 == 1
 
     def test_closed_under_multiplication_and_inverse(self):
-        q = congruence_quotient(3, 2, 1)
-        els = set(q.elements)
+        ops, els = congruence_group(3, 2)
+        members = set(els)
         rng = random.Random(1)
         for _ in range(60):
-            x, y = rng.choice(q.elements), rng.choice(q.elements)
-            assert q.ops.mul(x, y) in els
-            assert q.ops.mul(x, q.ops.inv(x)) == q.ops.identity
+            x, y = rng.choice(els), rng.choice(els)
+            assert ops.mul(x, y) in members
+            assert ops.mul(x, ops.inv(x)) == ops.identity
 
     def test_even_prime_rejected(self):
-        with pytest.raises(ValueError):
-            congruence_quotient(2, 2, 1)
+        with pytest.raises(ValueError, match="odd prime"):
+            harris_sequence(t_minus_one(), z_presentation(), unipotent_element_images(2), 2, [1])
 
     def test_composite_rejected(self):
-        with pytest.raises(ValueError):
-            congruence_quotient(9, 2, 1)
+        with pytest.raises(ValueError, match="odd prime"):
+            harris_sequence(t_minus_one(), z_presentation(), unipotent_element_images(9), 9, [1])
 
     def test_order_cap(self):
         with pytest.raises(MemoryCapError):
-            congruence_quotient(3, 4, 1)  # order 3^9 exceeds the default cap
+            congruence_group(3, 4, cap=3 ** 6)  # order 3^9
 
 
 class TestReduction:
@@ -121,7 +132,7 @@ class TestHarris:
         pres = z_presentation()
         images = unipotent_element_images(3)
         maps = [congruence_quotient_map(pres, images, 3, lvl) for lvl in (1, 2, 3)]
-        via_luck = luck_sequence(a, maps)
+        via_luck = [luck_rank(a, q) for q in maps]
         via_harris = [r.value for r in harris_sequence(a, pres, images, 3, [1, 2, 3])]
         assert via_luck == via_harris
 
@@ -142,17 +153,3 @@ class TestHarris:
         with pytest.raises(StructuralError):
             harris_sequence(t_minus_one(), z_presentation(),
                             unipotent_element_images(3), 3, [0, 1])
-
-
-class TestEnumerationChecks:
-    def test_size_disagreement_is_an_invariant_error(self, monkeypatch):
-        real = padicharris.product
-        monkeypatch.setattr(padicharris, "product", lambda *a, **k: list(real(*a, **k))[:-1])
-        with pytest.raises(InvariantError,
-                           match="enumeration size 25 disagrees with the order formula 27"):
-            congruence_quotient(3, 2)
-
-    def test_non_congruence_element_is_an_invariant_error(self, monkeypatch):
-        monkeypatch.setattr(padicharris, "pow", lambda *a: 0, raising=False)
-        with pytest.raises(InvariantError, match="non-congruence element"):
-            congruence_quotient(3, 2)

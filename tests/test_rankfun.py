@@ -13,7 +13,7 @@ from l2approx.rankfun import (AbelianTupleOps, FiniteAlgebraMatrix, FiniteQuotie
                               MemoryCapError, PermutationOps, QuaternionOps,
                               characters_of_cyclic, cyclic_generator,
                               cyclic_power_quotient, cyclotomic_field, finite_vn_rank,
-                              luck_rank, luck_sequence, memory_cap, subgroup_closure,
+                              luck_rank, memory_cap, subgroup_closure,
                               sylvester_rank, twisted_finite_rank)
 from l2approx.repweights import ParityError, evaluate
 
@@ -228,12 +228,13 @@ class TestFiniteVnRank:
             assert finite_vn_rank(a, ops) == expected
             assert finite_vn_rank(a, ops, elements=elements) == expected
 
-    def test_memory_cap(self):
+    def test_memory_cap(self, monkeypatch):
         ops = PermutationOps(64)
         g = cyclic_generator(64)
         a = FiniteAlgebraMatrix.single(QQ, {g: 1})
+        monkeypatch.setenv("L2APPROX_MEMORY_CAP", "32")
         with pytest.raises(MemoryCapError):
-            finite_vn_rank(a, ops, cap=32)
+            finite_vn_rank(a, ops)
 
     def test_memory_cap_guards_the_twisted_path_too(self, monkeypatch):
         # t - 1 over C8: |Q| * max(r, s) = 8 on both entry points
@@ -253,10 +254,14 @@ class TestFiniteVnRank:
     def test_memory_cap_from_environment(self, monkeypatch):
         monkeypatch.setenv("L2APPROX_MEMORY_CAP", "96")
         assert memory_cap() == 96
-        assert memory_cap(8) == 8
         monkeypatch.setenv("L2APPROX_MEMORY_CAP", "abc")
         with pytest.raises(ValueError, match="L2APPROX_MEMORY_CAP must be an integer, got 'abc'"):
             memory_cap()
+        for value in ("0", "-5"):
+            monkeypatch.setenv("L2APPROX_MEMORY_CAP", value)
+            with pytest.raises(ValueError,
+                               match=f"L2APPROX_MEMORY_CAP must be positive, got '{value}'"):
+                memory_cap()
 
 
 class TestTwistedRank:
@@ -392,7 +397,7 @@ class TestLuckRank:
         chain = [FiniteQuotientMap.build(pres, PermutationOps(2 ** j),
                                          [cyclic_generator(2 ** j)], order=2 ** j)
                  for j in (1, 2, 3)]
-        assert luck_sequence(a, chain) == [F(1, 2), F(3, 4), F(7, 8)]
+        assert [luck_rank(a, q) for q in chain] == [F(1, 2), F(3, 4), F(7, 8)]
 
     def test_luck_sequence_zero_and_identity(self):
         pres, _ = self.make_z()
@@ -400,8 +405,8 @@ class TestLuckRank:
                                          order=n) for n in (2, 4)]
         zero = GroupAlgebraMatrix.single(GroupAlgebraElement.zero(QQ))
         one = GroupAlgebraMatrix.single(GroupAlgebraElement.from_dict(QQ, {IDENTITY_WORD: 1}))
-        assert luck_sequence(zero, chain) == [0, 0]
-        assert luck_sequence(one, chain) == [1, 1]
+        assert [luck_rank(zero, q) for q in chain] == [0, 0]
+        assert [luck_rank(one, q) for q in chain] == [1, 1]
 
     def test_smat_axioms_randomized(self):
         rng = random.Random(49)

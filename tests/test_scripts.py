@@ -1,5 +1,5 @@
-"""Smoke tests: each experiment script under scripts/ runs to completion with
-its default arguments and prints a known line."""
+"""Smoke tests: each experiment script under scripts/ and the README library
+example run to completion and print a known line."""
 
 import os
 import subprocess
@@ -23,3 +23,14 @@ def test_script_runs(script, line):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout.splitlines()
+
+
+def test_readme_library_example():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "(0, 1, 1)" in proc.stdout.splitlines()
