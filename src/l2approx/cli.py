@@ -42,6 +42,12 @@ MODE_FIELDS = {
     "luck": _ENTRY_FIELDS + ("quotients", "target") + _MATRIX_FIELDS,
     "harris": ("p", "levels", "element", "seed", "word_len", "target"),
 }
+# fields of MODE_FIELDS read only under one choice of a sub-choice field:
+# sub-choice field -> choice -> the fields read only under it
+CHOICE_FIELDS = {
+    "matrix": {"file": ("matrix_file",), "random": ("rows", "cols", "word_len", "seed")},
+    "element": {"random": ("seed", "word_len")},
+}
 MODES = tuple(MODE_FIELDS)
 MATRIX_SOURCES = ("fox-jacobian", "boundary-stack", "file", "random")
 HARRIS_ELEMENTS = ("unipotent", "diagonal", "random")
@@ -199,18 +205,16 @@ def _parse_algebra_entry(text: str, names: Sequence[str], field) -> GroupAlgebra
     text = text.strip()
     if not text or text == "0":
         return GroupAlgebraElement.zero(field)
-    acc: dict = {}
-    chunks = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
-    for chunk in chunks:
+    terms = []
+    for chunk in re.findall(r"[+-]?[^+-]+", text.replace(" ", "")):
         sgn = -1 if chunk.startswith("-") else 1
-        body = chunk.lstrip("+-")
-        m = _TERM_RE.match(body)
+        m = _TERM_RE.match(chunk.lstrip("+-"))
         if not m or (m.group(1) is None and m.group(2) is None):
             raise ConfigError(f"cannot parse matrix term {chunk!r}")
         coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
         word = word_from_string(m.group(2), names) if m.group(2) else IDENTITY_WORD
-        acc[word] = acc.get(word, Fraction(0)) + sgn * coeff
-    return GroupAlgebraElement.from_dict(field, acc)
+        terms.append((word, sgn * coeff))
+    return GroupAlgebraElement.from_terms(field, terms)
 
 
 def parse_matrix_file(path: str, names: Sequence[str], field) -> GroupAlgebraMatrix:
@@ -236,16 +240,12 @@ def random_matrix(names: Sequence[str], field, rows: int, cols: int,
     for _ in range(rows):
         row = []
         for _ in range(cols):
-            acc: dict = {}
+            terms = []
             for _ in range(rng.randint(1, 3)):
                 length = rng.randint(0, word_len)
-                letters = []
-                for _ in range(length):
-                    letters.append((rng.randrange(g), rng.choice((1, -1))))
-                w = free_reduce(letters)
-                c = rng.choice((-2, -1, 1, 2))
-                acc[w] = acc.get(w, 0) + c
-            row.append(GroupAlgebraElement.from_dict(field, acc))
+                letters = [(rng.randrange(g), rng.choice((1, -1))) for _ in range(length)]
+                terms.append((free_reduce(letters), rng.choice((-2, -1, 1, 2))))
+            row.append(GroupAlgebraElement.from_terms(field, terms))
         out.append(row)
     return GroupAlgebraMatrix.from_rows(field, out)
 
@@ -314,8 +314,14 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[str, str]:
     """Execute one experiment; returns (csv_text, summary_text)."""
     if cfg.mode not in MODES:
         raise ConfigError(f"--mode must be one of {', '.join(MODES)}")
+    read = {"mode", "out", *MODE_FIELDS[cfg.mode]}
+    for key, choices in CHOICE_FIELDS.items():
+        if key in read:
+            for choice, names in choices.items():
+                if getattr(cfg, key) != choice:
+                    read.difference_update(names)
     unread = [f.name for f in dc_fields(cfg) if getattr(cfg, f.name) != f.default
-              and f.name not in ("mode", "out") + MODE_FIELDS[cfg.mode]]
+              and f.name not in read]
     if unread:
         raise ConfigError(f"{cfg.mode} mode does not read "
                           + ", ".join("--" + name.replace("_", "-") for name in unread))

@@ -145,6 +145,15 @@ class NumberField:
     def from_rational(self, q: Union[int, Fraction]) -> "FieldElement":
         return self.element([as_fraction(q)])
 
+    def coerce(self, c: Coeffish) -> "FieldElement":
+        """`c` as an element of this field: an int or Fraction as a rational,
+        a `FieldElement` only if it already lies in this field."""
+        if isinstance(c, FieldElement):
+            if c.field != self:
+                raise FieldMismatchError("coefficient lies in a different number field")
+            return c
+        return self.from_rational(c)
+
     def gen(self) -> "FieldElement":
         if self.degree == 1:
             raise StructuralError("degree-1 field has no generator beyond Q")
@@ -235,6 +244,15 @@ def scaled_vectors(elems: Sequence[FieldElement]) -> tuple[int, list[tuple[int, 
     return den, [tuple(c.numerator * (den // c.denominator) for c in e.coeffs) for e in elems]
 
 
+def flatten_rows(rows: Sequence[Sequence]) -> tuple[int, int, list]:
+    """(row count, column count, row-major entries) of a matrix given as a
+    list of rows; rows of unequal length are a `StructuralError`."""
+    c = len(rows[0]) if rows else 0
+    if any(len(row) != c for row in rows):
+        raise StructuralError("ragged rows")
+    return len(rows), c, [v for row in rows for v in row]
+
+
 @dataclass(frozen=True)
 class ScaledMatrix:
     """Matrix over Q(alpha) in integer coordinates.
@@ -252,19 +270,8 @@ class ScaledMatrix:
     @staticmethod
     def from_rows(field: NumberField, rows: Sequence[Sequence[Coeffish]]) -> "ScaledMatrix":
         """Matrix from rows of ints, Fractions or `FieldElement`s over `field`."""
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise StructuralError("ragged rows")
-            for v in row:
-                if not isinstance(v, FieldElement):
-                    v = field.from_rational(v)
-                elif v.field != field:
-                    raise FieldMismatchError("matrix entries over inconsistent fields")
-                flat.append(v)
-        den, vectors = scaled_vectors(flat)
+        r, c, flat = flatten_rows(rows)
+        den, vectors = scaled_vectors([field.coerce(v) for v in flat])
         return ScaledMatrix(field, r, c, den, tuple(vectors))
 
     def kron(self, other: "ScaledMatrix") -> "ScaledMatrix":

@@ -34,22 +34,14 @@ def fox_derivative(w: Word, j: int, field) -> GroupAlgebraElement:
     Axioms: d(x_j)/d(x_j) = 1, d(x_i)/d(x_j) = 0 for i != j,
     d(uv) = du + u dv, d(x_j^-1) = -x_j^-1.
     """
-    terms: dict[Word, list] = {}
+    terms = []
     prefix = IDENTITY_WORD
     for idx, exp in w.letters:
-        if exp == 1:
-            if idx == j:
-                _accumulate(terms, prefix, 1)
-            prefix = prefix * Word(((idx, 1),))
-        else:
-            prefix = prefix * Word(((idx, -1),))
-            if idx == j:
-                _accumulate(terms, prefix, -1)
-    return GroupAlgebraElement.from_dict(field, {w_: c for w_, c in terms.items() if c})
-
-
-def _accumulate(terms: dict, w: Word, c: int):
-    terms[w] = terms.get(w, 0) + c
+        step = prefix * Word(((idx, exp),))
+        if idx == j:
+            terms.append((prefix, 1) if exp == 1 else (step, -1))
+        prefix = step
+    return GroupAlgebraElement.from_terms(field, terms)
 
 
 def fox_jacobian(p: GroupPresentation, field) -> GroupAlgebraMatrix:
@@ -63,22 +55,19 @@ def fox_jacobian(p: GroupPresentation, field) -> GroupAlgebraMatrix:
 
 def boundary_stack(p: GroupPresentation, field) -> GroupAlgebraMatrix:
     """g x 1 column of the elements x_j - 1."""
-    col = []
-    for j in range(p.num_generators):
-        xj = Word(((j, 1),))
-        col.append([GroupAlgebraElement.from_dict(field, {xj: 1, IDENTITY_WORD: -1})])
-    return GroupAlgebraMatrix.from_rows(field, col)
+    return GroupAlgebraMatrix.from_rows(field, [
+        [GroupAlgebraElement.from_terms(field, [(Word(((j, 1),)), 1), (IDENTITY_WORD, -1)])]
+        for j in range(p.num_generators)])
 
 
 def check_fox_identity(p: GroupPresentation, field) -> None:
     """Fundamental identity: sum_j d(r)/d(x_j) * (x_j - 1) = r - 1, per relator."""
+    stack = boundary_stack(p, field)
     for rel in p.relators:
         acc = GroupAlgebraElement.zero(field)
         for j in range(p.num_generators):
-            xj_minus_1 = GroupAlgebraElement.from_dict(
-                field, {Word(((j, 1),)): 1, IDENTITY_WORD: -1})
-            acc = acc + fox_derivative(rel, j, field) * xj_minus_1
-        rhs = GroupAlgebraElement.from_dict(field, {rel: 1, IDENTITY_WORD: -1})
+            acc = acc + fox_derivative(rel, j, field) * stack.entry(j, 0)
+        rhs = GroupAlgebraElement.from_terms(field, [(rel, 1), (IDENTITY_WORD, -1)])
         if acc != rhs:
             raise InvariantError(f"fundamental Fox identity fails for relator {rel!r}")
 

@@ -8,11 +8,10 @@ only their images under a matrix representation (`repweights.evaluate`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-from .exactalg import (FieldElement, FieldMismatchError, NumberField, StructuralError,
-                       as_fraction)
+from .exactalg import (Coeffish, FieldElement, FieldMismatchError, NumberField,
+                       StructuralError, flatten_rows)
 
 Letter = tuple[int, int]  # (generator index, exponent +1 or -1)
 
@@ -118,6 +117,17 @@ class GroupPresentation:
         return len(self.relators)
 
 
+def sum_terms(field: NumberField, pairs: Iterable[tuple[Hashable, Coeffish]]) -> dict:
+    """The formal sum of (key, coefficient) pairs as a dict key -> coefficient:
+    each coefficient coerced into `field`, repeated keys added, keys whose sum
+    is zero dropped, keys in first-seen order."""
+    acc: dict = {}
+    for key, c in pairs:
+        c = field.coerce(c)
+        acc[key] = acc[key] + c if key in acc else c
+    return {key: c for key, c in acc.items() if c}
+
+
 @dataclass(frozen=True)
 class GroupAlgebraElement:
     """Finite formal sum of words with coefficients in one number field."""
@@ -126,32 +136,19 @@ class GroupAlgebraElement:
     terms: tuple[tuple[Word, FieldElement], ...]  # sorted, no zero coefficients
 
     @staticmethod
-    def from_dict(field: NumberField, terms: Mapping[Word, Union[int, Fraction, FieldElement]]) -> "GroupAlgebraElement":
-        clean = {}
-        for w, c in terms.items():
-            ce = c if isinstance(c, FieldElement) else field.from_rational(as_fraction(c))
-            if ce.field != field:
-                raise FieldMismatchError("coefficient from a different field")
-            if ce:
-                clean[w] = clean[w] + ce if w in clean else ce
-                if not clean[w]:
-                    del clean[w]
-        ordered = sorted(clean.items(), key=lambda t: (t[0].length, t[0].letters))
+    def from_terms(field: NumberField, pairs: Iterable[tuple[Word, Coeffish]]) -> "GroupAlgebraElement":
+        """The sum of (word, coefficient) pairs (see `sum_terms`), words sorted."""
+        ordered = sorted(sum_terms(field, pairs).items(),
+                         key=lambda t: (t[0].length, t[0].letters))
         return GroupAlgebraElement(field, tuple(ordered))
+
+    @staticmethod
+    def from_dict(field: NumberField, terms: Mapping[Word, Coeffish]) -> "GroupAlgebraElement":
+        return GroupAlgebraElement.from_terms(field, terms.items())
 
     @staticmethod
     def zero(field: NumberField) -> "GroupAlgebraElement":
         return GroupAlgebraElement(field, ())
-
-    @staticmethod
-    def of_word(field: NumberField, w: Word, c: Union[int, Fraction, FieldElement] = 1) -> "GroupAlgebraElement":
-        return GroupAlgebraElement.from_dict(field, {w: c})
-
-    def as_dict(self) -> dict[Word, FieldElement]:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -162,17 +159,7 @@ class GroupAlgebraElement:
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         if self.field != other.field:
             raise FieldMismatchError("sum over different fields")
-        acc = dict(self.terms)
-        for w, c in other.terms:
-            if w in acc:
-                s = acc[w] + c
-                if s:
-                    acc[w] = s
-                else:
-                    del acc[w]
-            else:
-                acc[w] = c
-        return GroupAlgebraElement.from_dict(self.field, acc)
+        return GroupAlgebraElement.from_terms(self.field, self.terms + other.terms)
 
     def __neg__(self) -> "GroupAlgebraElement":
         return GroupAlgebraElement(self.field, tuple((w, -c) for w, c in self.terms))
@@ -183,28 +170,13 @@ class GroupAlgebraElement:
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         if self.field != other.field:
             raise FieldMismatchError("product over different fields")
-        acc: dict[Word, FieldElement] = {}
-        for w1, c1 in self.terms:
-            for w2, c2 in other.terms:
-                w = w1 * w2
-                c = c1 * c2
-                if w in acc:
-                    s = acc[w] + c
-                    if s:
-                        acc[w] = s
-                    else:
-                        del acc[w]
-                elif c:
-                    acc[w] = c
-        return GroupAlgebraElement.from_dict(self.field, acc)
-
-    def scalar_mul(self, c: Union[int, Fraction, FieldElement]) -> "GroupAlgebraElement":
-        ce = c if isinstance(c, FieldElement) else self.field.from_rational(as_fraction(c))
-        return GroupAlgebraElement.from_dict(self.field, {w: a * ce for w, a in self.terms})
+        return GroupAlgebraElement.from_terms(
+            self.field, ((w1 * w2, c1 * c2) for w1, c1 in self.terms for w2, c2 in other.terms))
 
     def star(self) -> "GroupAlgebraElement":
         """Formal adjoint: invert every word, keep coefficients."""
-        return GroupAlgebraElement.from_dict(self.field, {w.inverse(): c for w, c in self.terms})
+        return GroupAlgebraElement.from_terms(self.field,
+                                              ((w.inverse(), c) for w, c in self.terms))
 
 
 @dataclass(frozen=True)
@@ -223,13 +195,7 @@ class GroupAlgebraMatrix:
 
     @staticmethod
     def from_rows(field: NumberField, rows: Sequence[Sequence[GroupAlgebraElement]]) -> "GroupAlgebraMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise StructuralError("ragged rows")
-            flat.extend(row)
+        r, c, flat = flatten_rows(rows)
         return GroupAlgebraMatrix(field, r, c, tuple(flat))
 
     @staticmethod

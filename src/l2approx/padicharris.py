@@ -124,23 +124,23 @@ def harris_sequence(a: GroupAlgebraMatrix, presentation: GroupPresentation,
     """Normalized ranks of `a` over the congruence quotients at the given
     levels, with the theoretical error envelope recorded per level.
 
-    Generator images must lie in the first congruence subgroup (congruent to
-    the identity mod p).  The rank at each level is exact; nothing here ever
-    enumerates the full quotient.
+    Levels must be strictly increasing.  Generator images must lie in the
+    first congruence subgroup (congruent to the identity mod p).  The rank at
+    each level is exact; nothing here ever enumerates the full quotient.
     """
     if not _is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
-    n = len(images[0]) if images else 1
+    if any(l2 <= l1 for l1, l2 in zip(levels, levels[1:])):
+        raise StructuralError("levels must be strictly increasing")
     rows = []
-    for level in sorted(levels):
+    for level in levels:
         if level < 1:
             raise StructuralError("levels must be >= 1")
         q = congruence_quotient_map(presentation, images, p, level)
         value = luck_rank(a, q)
-        index = p ** (3 * n * (level - 1))
         envelope = Fraction(1, p ** (level - 1))
         error = abs(value - target) if target is not None else None
-        rows.append(HarrisRow(level, index, value, envelope, error))
+        rows.append(HarrisRow(level, q.order, value, envelope, error))
     return rows
 
 

@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Optional, Protocol, Sequence
 
 from .exactalg import (FieldElement, NumberField, QQ, ScaledMatrix, StructuralError,
-                       as_fraction, scaled_vectors)
-from .groupcore import GroupAlgebraMatrix, GroupPresentation, Word
+                       flatten_rows, scaled_vectors)
+from .groupcore import GroupAlgebraMatrix, GroupPresentation, Word, sum_terms
 from .repweights import RepAssignment, evaluate, weight_dim
 
 RankValue = Fraction
@@ -180,19 +180,13 @@ class FiniteAlgebraMatrix:
 
     @staticmethod
     def from_rows(field: NumberField, rows: Sequence[Sequence[Mapping]]) -> "FiniteAlgebraMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise StructuralError("ragged rows")
-            for cell in row:
-                flat.append(_clean_cell(field, cell))
-        return FiniteAlgebraMatrix(field, r, c, tuple(flat))
+        r, c, flat = flatten_rows(rows)
+        return FiniteAlgebraMatrix(field, r, c,
+                                   tuple(sum_terms(field, cell.items()) for cell in flat))
 
     @staticmethod
     def single(field: NumberField, cell: Mapping) -> "FiniteAlgebraMatrix":
-        return FiniteAlgebraMatrix(field, 1, 1, (_clean_cell(field, cell),))
+        return FiniteAlgebraMatrix.from_rows(field, [[cell]])
 
     def entry(self, i: int, j: int) -> Mapping:
         return self.entries[i * self.cols + j]
@@ -206,17 +200,6 @@ class FiniteAlgebraMatrix:
                     seen.add(g)
                     out.append(g)
         return out
-
-
-def _clean_cell(field: NumberField, cell: Mapping) -> dict:
-    out = {}
-    for g, c in cell.items():
-        ce = c if isinstance(c, FieldElement) else field.from_rational(as_fraction(c))
-        if ce.field != field:
-            raise StructuralError("cell coefficient over a different field")
-        if ce:
-            out[g] = ce
-    return out
 
 
 def _regular_rep(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequence,
@@ -309,10 +292,7 @@ def twisted_finite_rank(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequenc
         for g in elements:
             if ops.mul(z, g) != ops.mul(g, z):
                 raise ValueError("designated subgroup is not central")
-    chi_e = {}
-    for z in center:
-        v = chi[z]
-        chi_e[z] = v if isinstance(v, FieldElement) else field.from_rational(as_fraction(v))
+    chi_e = {z: field.coerce(chi[z]) for z in center}
     _check_character(ops, center, chi_e, field)
     mat, m = _regular_rep(a, ops, elements, center, chi_e, memory_cap())
     return Fraction(mat.rank(), m)
@@ -414,12 +394,12 @@ class FiniteQuotientMap:
     presentation: GroupPresentation
     ops: GroupOps
     gen_images: tuple
-    order: Optional[int] = None
-    name: str = ""
+    order: int
+    name: str
 
     @staticmethod
     def build(presentation: GroupPresentation, ops: GroupOps, gen_images: Sequence,
-              order: Optional[int] = None, name: str = "") -> "FiniteQuotientMap":
+              order: int, name: str) -> "FiniteQuotientMap":
         if len(gen_images) != presentation.num_generators:
             raise StructuralError("need one image per generator")
         q = FiniteQuotientMap(presentation, ops, tuple(gen_images), order, name)
@@ -436,24 +416,10 @@ class FiniteQuotientMap:
         return out
 
     def push(self, a: GroupAlgebraMatrix) -> FiniteAlgebraMatrix:
-        cells = []
-        for i in range(a.rows):
-            row = []
-            for j in range(a.cols):
-                cell: dict = {}
-                for w, c in a.entry(i, j).terms:
-                    g = self.word_image(w)
-                    if g in cell:
-                        s = cell[g] + c
-                        if s:
-                            cell[g] = s
-                        else:
-                            del cell[g]
-                    else:
-                        cell[g] = c
-                row.append(cell)
-            cells.append(row)
-        return FiniteAlgebraMatrix.from_rows(a.field, cells)
+        """`a` with every word replaced by its image; words with one image add."""
+        cells = (sum_terms(a.field, ((self.word_image(w), c) for w, c in e.terms))
+                 for e in a.entries)
+        return FiniteAlgebraMatrix(a.field, a.rows, a.cols, tuple(cells))
 
 
 def sylvester_rank(a: GroupAlgebraMatrix, rep: RepAssignment, lam: Sequence[int]) -> RankValue:

@@ -131,7 +131,7 @@ def test_criterion_05_sylvester_axiom_suite():
 
         def push(m):
             q = FiniteQuotientMap.build(GroupPresentation(("a", "b"), ()), ops,
-                                        [gen, ops.mul(gen, gen)], order=6)
+                                        [gen, ops.mul(gen, gen)], order=6, name="Z/6")
             return q
 
         q6 = push(None)
@@ -194,7 +194,8 @@ def test_criterion_07_luck_chain():
         a = GroupAlgebraMatrix.single(
             GroupAlgebraElement.from_dict(QQ, {t: 1, IDENTITY_WORD: -1}))
         chain = [FiniteQuotientMap.build(pres, PermutationOps(2 ** j),
-                                         [cyclic_generator(2 ** j)], order=2 ** j)
+                                         [cyclic_generator(2 ** j)], order=2 ** j,
+                                         name=f"Z/{2 ** j}")
                  for j in range(1, 7)]
         values = [luck_rank(a, q) for q in chain]
         assert values == [1 - F(1, 2 ** j) for j in range(1, 7)]

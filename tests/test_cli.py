@@ -169,6 +169,14 @@ class TestErrors:
         assert err == "error: ConfigError: --levels START:END needs START <= END, got '3:1'\n"
         assert not (tmp_path / "x.csv").exists()
 
+    def test_levels_out_of_order_rejected(self, tmp_path, capsys):
+        rc = main(["--mode", "harris", "--p", "3", "--levels", "2,1,2", "--element", "diagonal",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: StructuralError: levels must be strictly increasing\n"
+        assert not (tmp_path / "x.csv").exists()
+
 
     @pytest.mark.parametrize("flag, value", [("--rows", "0"), ("--cols", "0"),
                                              ("--rows", "-2"), ("--word-len", "-1")])
@@ -229,9 +237,27 @@ class TestErrors:
         (["--mode", "luck", "--entry", "z-unipotent", "--quotients", "2"], [("--p", "3")]),
         (["--mode", "harris", "--p", "3", "--levels", "1:2"], [("--matrix", "fox-jacobian")]),
         (["--mode", "harris", "--p", "3", "--levels", "1:2"],
-         [("--entry", "figure-eight"), ("--weights", "2:4"), ("--quotients", "2")])],
+         [("--entry", "figure-eight"), ("--weights", "2:4"), ("--quotients", "2")]),
+        # flags read only under another choice of --matrix or --element
+        (["--mode", "rank", "--entry", "figure-eight", "--weights", "2:4:2",
+          "--matrix", "fox-jacobian"], [("--rows", "5"), ("--seed", "3")]),
+        (["--mode", "luck", "--entry", "z-unipotent", "--quotients", "2"],
+         [("--cols", "2"), ("--word-len", "3")]),
+        (["--mode", "rank", "--entry", "figure-eight", "--weights", "2:4:2",
+          "--matrix", "file", "--matrix-file", "m.txt"], [("--seed", "3")]),
+        (["--mode", "rank", "--entry", "figure-eight", "--weights", "2:4:2",
+          "--matrix", "random", "--seed", "3"], [("--matrix-file", "m.txt")]),
+        (["--mode", "luck", "--entry", "z-unipotent", "--quotients", "2"],
+         [("--matrix-file", "m.txt")]),
+        (["--mode", "harris", "--p", "3", "--levels", "1:2", "--element", "unipotent"],
+         [("--word-len", "9"), ("--seed", "4")]),
+        (["--mode", "harris", "--p", "3", "--levels", "1:2", "--element", "diagonal"],
+         [("--seed", "4")])],
         ids=["homology-target", "limit-matrix", "rank-quotients", "rank-levels", "luck-p",
-             "harris-matrix", "harris-entry-weights-quotients"])
+             "harris-matrix", "harris-entry-weights-quotients", "rank-fox-jacobian-random",
+             "luck-boundary-stack-random", "rank-file-seed", "rank-random-matrix-file",
+             "luck-boundary-stack-matrix-file", "harris-unipotent-random",
+             "harris-diagonal-seed"])
     def test_flags_the_mode_does_not_read_are_refused(self, tmp_path, capsys, mode_args,
                                                       flags):
         out = tmp_path / "x.csv"
@@ -300,9 +326,9 @@ class TestMatrixSources:
         assert (m.rows, m.cols) == (2, 2)
         from l2approx.groupcore import IDENTITY_WORD, word_from_string
         t = word_from_string("t", ("t",))
-        e00 = m.entry(0, 0).as_dict()
+        e00 = dict(m.entry(0, 0).terms)
         assert e00[t].coeffs[0] == 1 and e00[IDENTITY_WORD].coeffs[0] == -1
-        assert m.entry(1, 1).as_dict()[t].coeffs[0] == F(3, 2)
+        assert dict(m.entry(1, 1).terms)[t].coeffs[0] == F(3, 2)
 
     def test_matrix_file_through_cli(self, tmp_path):
         mf = tmp_path / "m.txt"

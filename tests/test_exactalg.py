@@ -50,6 +50,16 @@ class TestFieldElement:
         with pytest.raises(FieldMismatchError):
             QW.gen() * QI.gen()
 
+    def test_coerce(self):
+        assert QW.coerce(3) == QW.from_rational(3)
+        assert QW.coerce(F(-1, 2)) == QW.element([F(-1, 2)])
+        w = QW.gen()
+        assert QW.coerce(w) is w
+        with pytest.raises(FieldMismatchError):
+            QW.coerce(QI.gen())
+        with pytest.raises(StructuralError):
+            QW.coerce(1.5)
+
     def test_minpoly_must_be_monic(self):
         with pytest.raises(StructuralError):
             NumberField((F(1), F(2)))

@@ -1,7 +1,8 @@
 """Byte-equality gate on the CSV and summary output of fast CLI commands.
 
 The files under `tests/golden/` were captured before the weight-module layer
-moved to integer coordinates; any change to a rank, a row format or a summary
+moved to integer coordinates, the matrix-file and random-luck cases before
+group-ring terms were built through one accumulator; any change to a rank, a row format or a summary
 line shows here as a byte difference.  To capture them again, write
 `run_experiment`'s two strings for each case to `<name>.csv` and
 `<name>.summary.txt`.
@@ -28,6 +29,16 @@ CASES = {
     "harris-random-seed5": ["--mode", "harris", "--p", "3", "--levels", "1:3",
                             "--element", "random", "--seed", "5"],
     "luck-z2-lattice": ["--mode", "luck", "--entry", "z2-lattice", "--quotients", "2,4,8"],
+    # a matrix file with a repeated word, a cancelling pair, a rational
+    # coefficient and a dependent row: exercises term accumulation in the parser
+    "rank-figure-eight-matrix-file": ["--mode", "rank", "--entry", "figure-eight",
+                                      "--weights", "2:8:2", "--matrix", "file", "--matrix-file",
+                                      str(GOLDEN_DIR / "figure-eight-matrix.txt")],
+    # random words that collide in (Z/2)^2, one pair cancelling to zero:
+    # exercises the summation in push
+    "luck-z2-lattice-random-seed25": ["--mode", "luck", "--entry", "z2-lattice",
+                                      "--quotients", "2,4,8", "--matrix", "random",
+                                      "--seed", "25"],
 }
 
 

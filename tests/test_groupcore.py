@@ -78,6 +78,13 @@ class TestAlgebra:
         x = GroupAlgebraElement.from_dict(QQ, {IDENTITY_WORD: 1, Word(((0, 1),)): 0})
         assert len(x.terms) == 1
 
+    def test_from_terms_sums_repeated_words_and_drops_cancelled(self):
+        a, b = word_from_string("a", ("a", "b")), word_from_string("b", ("a", "b"))
+        x = GroupAlgebraElement.from_terms(QQ, [(b, 1), (a, F(1, 2)), (IDENTITY_WORD, 2),
+                                                (a, F(3, 2)), (IDENTITY_WORD, -2), (b, 1)])
+        assert [(w, c.coeffs[0]) for w, c in x.terms] == [(a, F(2)), (b, F(2))]
+        assert not GroupAlgebraElement.from_terms(QQ, [(a, 1), (a, -1)])
+
     def test_product_collects_words(self):
         a = word_from_string("a", ("a",))
         x = GroupAlgebraElement.from_dict(QQ, {a: 1, IDENTITY_WORD: 1})

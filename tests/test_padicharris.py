@@ -149,6 +149,12 @@ class TestHarris:
         assert rows[1].index == 3 ** 6
         assert rows[1].envelope == F(1, 3)
 
+    @pytest.mark.parametrize("levels", [[2, 1], [1, 2, 2]])
+    def test_levels_must_be_strictly_increasing(self, levels):
+        with pytest.raises(StructuralError, match="strictly increasing"):
+            harris_sequence(t_minus_one(), z_presentation(),
+                            unipotent_element_images(3), 3, levels)
+
     def test_levels_must_be_positive(self):
         with pytest.raises(StructuralError):
             harris_sequence(t_minus_one(), z_presentation(),

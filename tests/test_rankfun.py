@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from l2approx.exactalg import QQ, ScaledMatrix, StructuralError
+from l2approx.exactalg import FieldMismatchError, QQ, ScaledMatrix, StructuralError
 from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix,
                                 GroupPresentation, IDENTITY_WORD,
                                 free_reduce, ga_block_diag, ga_block_triangular,
@@ -50,6 +50,16 @@ def random_finite_matrix(rng, field, elements, rows, cols):
         cells[2] = [{g: x.get(g, field.zero) + y.get(g, field.zero) for g in {**x, **y}}
                     for x, y in zip(cells[0], cells[1])]
     return FiniteAlgebraMatrix.from_rows(field, cells)
+
+
+@pytest.mark.parametrize("build, cell", [
+    (ScaledMatrix.from_rows, 1),
+    (GroupAlgebraMatrix.from_rows, GroupAlgebraElement.zero(QQ)),
+    (FiniteAlgebraMatrix.from_rows, {(0,): 1})],
+    ids=["scaled", "group-algebra", "finite-algebra"])
+def test_ragged_rows_are_a_structural_error(build, cell):
+    with pytest.raises(StructuralError, match="ragged rows"):
+        build(QQ, [[cell, cell], [cell]])
 
 
 class TestSylvesterRank:
@@ -352,6 +362,15 @@ class TestTwistedRank:
         with pytest.raises(ValueError):
             twisted_finite_rank(a, qops, els, not_central, {z: 1 for z in not_central})
 
+    def test_character_over_another_field_rejected(self):
+        ops = PermutationOps(2)
+        elements = subgroup_closure(ops, [cyclic_generator(2)], 10)
+        field, zeta = cyclotomic_field(4)
+        a = FiniteAlgebraMatrix.single(QQ, {ops.identity: 1})
+        chi = {elements[0]: field.one, elements[1]: -field.one}
+        with pytest.raises(FieldMismatchError):
+            twisted_finite_rank(a, ops, elements, elements, chi)
+
     def test_non_cyclic_center_rejected(self):
         ops = AbelianTupleOps((2, 2))
         els = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -370,8 +389,19 @@ class TestLuckRank:
     def test_cyclic_quotients(self):
         pres, a = self.make_z()
         for n in (2, 3, 5, 8):
-            q = FiniteQuotientMap.build(pres, PermutationOps(n), [cyclic_generator(n)], order=n)
+            q = FiniteQuotientMap.build(pres, PermutationOps(n), [cyclic_generator(n)], order=n,
+                                        name=f"Z/{n}")
             assert luck_rank(a, q) == F(n - 1, n)
+
+    def test_push_adds_words_with_one_image(self):
+        # t and t^3 both map to the generator of Z/2, so t - t^3 pushes to 0
+        pres = GroupPresentation(("t",), ())
+        names = pres.generator_names
+        a = GroupAlgebraMatrix.single(GroupAlgebraElement.from_terms(
+            QQ, [(word_from_string("t", names), 1), (word_from_string("ttt", names), -1)]))
+        q = cyclic_power_quotient(pres, 2)
+        assert q.push(a).entries == ({},)
+        assert luck_rank(a, q) == 0
 
     def test_trivial_quotient_is_augmentation(self):
         pres, a = self.make_z()
@@ -390,19 +420,20 @@ class TestLuckRank:
         # the figure-eight relator does not die in Z/5 x Z/5 under independent cycles
         with pytest.raises(ValueError):
             FiniteQuotientMap.build(fig8.presentation, AbelianTupleOps((5, 5)),
-                                    [(1, 0), (2, 0)])
+                                    [(1, 0), (2, 0)], order=25, name="(Z/5)^2")
 
     def test_luck_sequence_powers_of_two(self):
         pres, a = self.make_z()
         chain = [FiniteQuotientMap.build(pres, PermutationOps(2 ** j),
-                                         [cyclic_generator(2 ** j)], order=2 ** j)
+                                         [cyclic_generator(2 ** j)], order=2 ** j,
+                                         name=f"Z/{2 ** j}")
                  for j in (1, 2, 3)]
         assert [luck_rank(a, q) for q in chain] == [F(1, 2), F(3, 4), F(7, 8)]
 
     def test_luck_sequence_zero_and_identity(self):
         pres, _ = self.make_z()
         chain = [FiniteQuotientMap.build(pres, PermutationOps(n), [cyclic_generator(n)],
-                                         order=n) for n in (2, 4)]
+                                         order=n, name=f"Z/{n}") for n in (2, 4)]
         zero = GroupAlgebraMatrix.single(GroupAlgebraElement.zero(QQ))
         one = GroupAlgebraMatrix.single(GroupAlgebraElement.from_dict(QQ, {IDENTITY_WORD: 1}))
         assert [luck_rank(zero, q) for q in chain] == [0, 0]
@@ -412,7 +443,8 @@ class TestLuckRank:
         rng = random.Random(49)
         pres = GroupPresentation(("a", "b"), ())
         names = pres.generator_names
-        q = FiniteQuotientMap.build(pres, AbelianTupleOps((2, 2)), [(1, 0), (0, 1)], order=4)
+        q = FiniteQuotientMap.build(pres, AbelianTupleOps((2, 2)), [(1, 0), (0, 1)], order=4,
+                                    name="(Z/2)^2")
         for _ in range(30):
             r, s, t_ = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
             a = random_ga_matrix(rng, QQ, names, r, s)

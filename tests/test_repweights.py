@@ -259,7 +259,8 @@ class TestEvaluate:
             images = [dense(weight_rep(tup, lam)) for tup in rep.images]
             ident = DenseMatrix.identity(QW, weight_dim(lam))
             for j, img in enumerate(images):
-                inv = dense(evaluate(GroupAlgebraElement.of_word(QW, Word(((j, -1),))), rep, lam))
+                inv = dense(evaluate(GroupAlgebraElement.from_terms(QW, [(Word(((j, -1),)), 1)]),
+                                     rep, lam))
                 assert inv * img == ident
                 assert img * inv == ident
 
@@ -268,7 +269,8 @@ class TestEvaluate:
         rep = two_factor_rep()
         lam = (2, 1)
         images = [dense(weight_rep(tup, lam)) for tup in rep.images]
-        inverses = [dense(evaluate(GroupAlgebraElement.of_word(QW, Word(((j, -1),))), rep, lam))
+        inverses = [dense(evaluate(GroupAlgebraElement.from_terms(QW, [(Word(((j, -1),)), 1)]),
+                                    rep, lam))
                     for j in range(len(images))]
         for _ in range(15):
             w = free_reduce([(rng.randrange(2), rng.choice((1, -1)))
@@ -276,7 +278,7 @@ class TestEvaluate:
             product = DenseMatrix.identity(QW, weight_dim(lam))
             for idx, exp in w.letters:
                 product = product * (images[idx] if exp == 1 else inverses[idx])
-            assert dense(evaluate(GroupAlgebraElement.of_word(QW, w), rep, lam)) == product
+            assert dense(evaluate(GroupAlgebraElement.from_terms(QW, [(w, 1)]), rep, lam)) == product
 
     def test_matrix_blocks_are_entry_images(self):
         rep = two_factor_rep()
@@ -284,7 +286,7 @@ class TestEvaluate:
         names = ("a", "b")
         x = GroupAlgebraElement.from_dict(QW, {word_from_string("aB", names): 2,
                                                IDENTITY_WORD: -1})
-        y = GroupAlgebraElement.of_word(QW, word_from_string("ba", names), QW.gen())
+        y = GroupAlgebraElement.from_terms(QW, [(word_from_string("ba", names), QW.gen())])
         out = dense(evaluate(GroupAlgebraMatrix.from_rows(QW, [[x, y]]), rep, lam))
         d = weight_dim(lam)
         assert (out.rows, out.cols) == (d, 2 * d)
