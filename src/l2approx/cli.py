@@ -412,6 +412,8 @@ def _run_luck(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[str, s
         raise ConfigError(f"--quotients must be a comma list of integers, got {cfg.quotients!r}")
     if any(m < 1 for m in moduli):
         raise ConfigError("quotient moduli must be positive")
+    if any(a >= b for a, b in zip(moduli, moduli[1:])):
+        raise ConfigError(f"--quotients must be strictly increasing, got {cfg.quotients!r}")
     a = _build_matrix(cfg, entry)
     chain = [rankfun.cyclic_power_quotient(entry.presentation, m) for m in moduli]
     values = [rankfun.luck_rank(a, q) for q in chain]

@@ -329,9 +329,11 @@ def rank_rows(rows: list[list[int]]) -> int:
     becomes (p/g)*row - (c/g)*pivot_row, where p is the pivot and
     g = gcd(p, c), and is then divided by the gcd of its entries; rows with a
     zero there are left untouched, which keeps sparse matrices cheap.
-    Deterministic: pivots are chosen first-nonzero in column order.  The
-    rows are consumed: the list is reordered and its rows replaced in place,
-    so a replaced row is freed at once.
+    The pivot of each column is the entry of smallest absolute value, which
+    keeps the integers small; the scan stops at the first +-1, and ties go
+    to the lowest row index, so the elimination is deterministic.  The rows
+    are consumed: the list is reordered and its rows replaced in place, so a
+    replaced row is freed at once.
     """
     a = rows
     nrows = len(a)
@@ -339,7 +341,13 @@ def rank_rows(rows: list[list[int]]) -> int:
         return 0
     rank = 0
     for col in range(len(a[0])):
-        piv = next((i for i in range(rank, nrows) if a[i][col]), None)
+        piv, best = None, 0
+        for i in range(rank, nrows):
+            c = abs(a[i][col])
+            if c and (piv is None or c < best):
+                piv, best = i, c
+                if c == 1:
+                    break
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]

@@ -11,8 +11,15 @@ Dimensions in degrees 0, 1, 2 come from the two ranks:
     h0 = d - rk D,   h1 = g*d - rk D - rk J,   h2 = r*d - rk J.
 
 h2 is the homology of the presentation 2-complex; it is group homology only
-when that complex is aspherical (the census entry's `aspherical` flag).  The
-composite J*D and the Euler identity are verified exactly on every run.
+when that complex is aspherical (the census entry's `aspherical` flag).
+
+Every run makes three exact checks, and they catch different faults.  J*D = 0
+is tested before any rank is taken, so it catches images that do not satisfy
+the relators, not a wrong rank.  Non-negative dimensions catch a rank that is
+too large.  The Euler identity h0 - h1 + h2 = d*(1 - g + r) follows from the
+three formulas above whatever the two ranks are, so it cannot catch a wrong
+rank.  A rank that is too small passes all three; the tests cross-check the
+ranks against independent oracles.
 """
 
 from __future__ import annotations

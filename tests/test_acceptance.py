@@ -36,13 +36,12 @@ def criterion(num, desc):
 
 
 def random_element(rng, field, n_gens, word_len=4, span=2, terms=3):
-    acc = {}
-    for _ in range(rng.randint(1, terms)):
+    def term():
         raw = [(rng.randrange(n_gens), rng.choice((1, -1)))
                for _ in range(rng.randint(0, word_len))]
-        w = free_reduce(raw)
-        acc[w] = acc.get(w, 0) + rng.randint(-span, span)
-    return GroupAlgebraElement.from_dict(field, acc)
+        return free_reduce(raw), rng.randint(-span, span)
+
+    return GroupAlgebraElement.from_terms(field, [term() for _ in range(rng.randint(1, terms))])
 
 
 def random_ga_matrix(rng, field, n_gens, rows, cols):

@@ -177,6 +177,14 @@ class TestErrors:
         assert err == "error: StructuralError: levels must be strictly increasing\n"
         assert not (tmp_path / "x.csv").exists()
 
+    def test_quotients_out_of_order_rejected(self, tmp_path, capsys):
+        rc = main(["--mode", "luck", "--entry", "z-unipotent", "--quotients", "4,2,4",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: ConfigError: --quotients must be strictly increasing, got '4,2,4'\n"
+        assert not (tmp_path / "x.csv").exists()
+
 
     @pytest.mark.parametrize("flag, value", [("--rows", "0"), ("--cols", "0"),
                                              ("--rows", "-2"), ("--word-len", "-1")])

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l2approx.exactalg import (FieldMismatchError, NumberField, QQ, ScaledMatrix,
-                               StructuralError)
+                               StructuralError, rank_rows)
+from l2approx.foxhomology import presentation_complex
 
 from oracles import (block_diag, clear_denominators, companion_rows, dense,
                      exact_matrix_rank_oracle, gauss_rank, minpoly_reduce, rank_mod_p,
@@ -169,6 +170,49 @@ class TestRankExact:
         rng = random.Random(29)
         m = random_field_matrix(QW, rng, 4, 5)
         assert m.rank() == m.rank()
+
+
+class TestRankRowsKernel:
+    """`rank_rows` against the Fraction oracle, and its pivot rule: the entry
+    of smallest absolute value in the column, the lowest row on a tie.  The
+    random cases of TestRankExact reach the same kernel through `rank`."""
+
+    # (rows, index of the row that must become the first pivot, rank over Q)
+    PIVOT_CASES = {
+        "smallest-not-first": ([[0, 1, 1], [10, 3, 1], [15, 2, 7], [6, 5, 2]], 3, 3),
+        "tie-takes-lowest-row": ([[6, 1, 0, 2], [-4, 0, 1, 1], [4, 1, 1, 0], [9, 2, 3, 1]], 1, 4),
+        "unit-mid-column": ([[3, 1, 4], [2, 7, 1], [-1, 8, 2], [1, 8, 1], [5, 9, 2]], 2, 3),
+        "zero-column": ([[0, 2, 3], [0, 4, 6], [0, 1, 1]], 2, 2),
+        # the last row is the sum of the others
+        "rank-deficient": ([[10, 4, 2, 1], [15, 6, 3, 0], [6, 2, 1, 1], [31, 12, 6, 2]], 2, 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PIVOT_CASES))
+    def test_hand_built_pivot_columns(self, name):
+        rows, first_pivot, rank = self.PIVOT_CASES[name]
+        consumed = [row[:] for row in rows]
+        assert rank_rows(consumed) == gauss_rank(rows) == rank
+        # the pivot row is swapped to the top and never rewritten
+        assert consumed[0] == rows[first_pivot]
+
+    @pytest.mark.parametrize("entry, lam, deficiency", [("fig8", 24, 1), ("whitehead", 20, 2)])
+    def test_embedded_fox_jacobian_matches_gauss_rank(self, request, entry, lam, deficiency):
+        e = request.getfixturevalue(entry)
+        _, _, j_rows, _ = presentation_complex(e.presentation, e.rep, (lam,))
+        rank = rank_rows([row[:] for row in j_rows])
+        assert rank == gauss_rank(j_rows)
+        assert rank == e.rep.field.degree * (lam + 1 - deficiency)
+
+    @pytest.mark.parametrize("entry, expected", [("fig8", 80), ("whitehead", 78)])
+    def test_deep_embedded_fox_jacobian_against_rank_mod_p(self, request, entry, expected):
+        """At lambda=40 the Fraction oracle takes many seconds, so this is only
+        a lower-bound cross-check: the rank modulo 2^61 - 1 is at most the rank
+        over Q, so agreement rules out a rank_rows result that is too large but
+        not one that is too small.  The pinned value, d - 1 for figure-eight
+        and d - 2 for whitehead (times the field degree 2), covers that side."""
+        e = request.getfixturevalue(entry)
+        _, _, j_rows, _ = presentation_complex(e.presentation, e.rep, (40,))
+        assert rank_rows([row[:] for row in j_rows]) == rank_mod_p(j_rows, MERSENNE_61) == expected
 
 
 class TestCompanionEmbed:

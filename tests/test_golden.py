@@ -2,10 +2,11 @@
 
 The files under `tests/golden/` were captured before the weight-module layer
 moved to integer coordinates, the matrix-file and random-luck cases before
-group-ring terms were built through one accumulator; any change to a rank, a row format or a summary
-line shows here as a byte difference.  To capture them again, write
-`run_experiment`'s two strings for each case to `<name>.csv` and
-`<name>.summary.txt`.
+group-ring terms were built through one accumulator, and the deep whitehead
+case before `rank_rows` took the smallest pivot of each column; any change to
+a rank, a row format or a summary line shows here as a byte difference.  To
+capture them again, write `run_experiment`'s two strings for each case to
+`<name>.csv` and `<name>.summary.txt`.
 """
 
 from pathlib import Path
@@ -20,6 +21,10 @@ CASES = {
     "homology-figure-eight": ["--mode", "homology", "--entry", "figure-eight",
                               "--weights", "2:20:2"],
     "homology-whitehead": ["--mode", "homology", "--entry", "whitehead", "--weights", "2:10:2"],
+    # a rank-deficient J (rank d-2) at a weight deep enough that the pivot
+    # rule changes the elimination path
+    "homology-whitehead-deep": ["--mode", "homology", "--entry", "whitehead",
+                                "--weights", "32:32"],
     "rank-figure-eight-fox-jacobian": ["--mode", "rank", "--entry", "figure-eight",
                                        "--matrix", "fox-jacobian", "--weights", "2:12:2"],
     "limit-sanov-f2": ["--mode", "limit", "--entry", "sanov-f2", "--degree", "1",

@@ -21,14 +21,13 @@ from oracles import companion_rows, dense, dense_regular_rank, gauss_rank
 
 
 def random_element(rng, field, names, word_len=4, coeff_span=2, terms=3):
-    acc = {}
     g = len(names)
-    for _ in range(rng.randint(1, terms)):
+
+    def term():
         raw = [(rng.randrange(g), rng.choice((1, -1))) for _ in range(rng.randint(0, word_len))]
-        c = rng.randint(-coeff_span, coeff_span)
-        w = free_reduce(raw)
-        acc[w] = acc.get(w, 0) + c
-    return GroupAlgebraElement.from_dict(field, acc)
+        return free_reduce(raw), rng.randint(-coeff_span, coeff_span)
+
+    return GroupAlgebraElement.from_terms(field, [term() for _ in range(rng.randint(1, terms))])
 
 
 def random_ga_matrix(rng, field, names, rows, cols, **kw):
