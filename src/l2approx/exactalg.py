@@ -6,7 +6,9 @@ one matrix type, `ScaledMatrix`, stores every entry as a vector of Python
 ints over one common denominator; products use an integer power table, and
 `embed` turns a matrix into integer rows over Q for the fraction-free
 elimination kernel `rank_rows` and the exact zero test `product_is_zero`.
-Nothing divides in Q(alpha), and no floating point is used on any rank path.
+`_pack` and `_unpack` hold a column of ints as one big int in balanced slots
+(Kronecker substitution), so convolutions and sums of columns run as big-int
+arithmetic.  Nothing divides in Q(alpha), and no floating point is used on any rank path.
 """
 
 from __future__ import annotations
@@ -105,8 +107,18 @@ class NumberField:
                     out[j] += x * row[j]
         return tuple(out)
 
+    @cached_property
+    def int_mul_bound(self) -> int:
+        """K with ||int_mul(u, v)||_1 <= K * ||u||_1 * ||v||_1: the larger of
+        t and the l1 norms of t times the reduced powers alpha^d..alpha^(2d-2)."""
+        t, table = self._int_table
+        return max([t, *(sum(map(abs, row)) for row in table)])
+
     def int_mul(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-        """t * u * v for integer power-basis vectors u and v (see int_reduce)."""
+        """t * u * v for integer power-basis vectors u and v (see int_reduce).
+
+        Only ring operations on the coordinates, so it works unchanged on
+        packed coordinates (see `_pack`), a polynomial in Y = 2^W each."""
         d = len(u)
         if d == 1:
             return (u[0] * v[0],)
@@ -274,26 +286,6 @@ class ScaledMatrix:
         den, vectors = scaled_vectors([field.coerce(v) for v in flat])
         return ScaledMatrix(field, r, c, den, tuple(vectors))
 
-    def kron(self, other: "ScaledMatrix") -> "ScaledMatrix":
-        if self.field != other.field:
-            raise FieldMismatchError("Kronecker product over different fields")
-        field = self.field
-        mul, zero = field.int_mul, (0,) * field.degree
-        r, c = self.rows * other.rows, self.cols * other.cols
-        flat = [zero] * (r * c)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.entries[i * self.cols + j]
-                if not any(a):
-                    continue
-                for k in range(other.rows):
-                    base = (i * other.rows + k) * c + j * other.cols
-                    for l in range(other.cols):
-                        b = other.entries[k * other.cols + l]
-                        if any(b):
-                            flat[base + l] = mul(a, b)
-        return ScaledMatrix(field, r, c, self.den * other.den * field.int_scale, tuple(flat))
-
     def embed(self) -> list[list[int]]:
         """Integer rows of t * den times the companion embedding over Q.
 
@@ -369,23 +361,58 @@ def rank_rows(rows: list[list[int]]) -> int:
     return rank
 
 
+# Packed columns (Kronecker substitution): a vector of ints v_0..v_(n-1) is
+# held as the one int sum v_i * 2^(i*W).  Packing is the ring homomorphism
+# Z[Y] -> Z, Y -> 2^W, so sums and products of packed ints are the packed
+# sums and products, whatever the size of the values along the way.  Only
+# unpacking needs a bound: slot i reads back v_i when every |v_i| < 2^(W-1).
+
+def _slot_width(bound: int) -> int:
+    """Slot width W for values of absolute value at most `bound`: more than
+    1 + bound.bit_length() bits, rounded up to whole bytes."""
+    return 8 * ((bound.bit_length() + 9) // 8)
+
+
+def _bias(count: int, width: int) -> int:
+    # 2^(W-1) in each of `count` slots
+    return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, "little") * count, "little")
+
+
+def _pack(values: Sequence[int], width: int) -> int:
+    """sum values[i] * 2^(i*width), for |values[i]| < 2^(width-1) and a width
+    that is a multiple of 8."""
+    nb, bias = width // 8, 1 << (width - 1)
+    raw = b"".join((v + bias).to_bytes(nb, "little") for v in values)
+    return int.from_bytes(raw, "little") - _bias(len(values), width)
+
+
+def _unpack(x: int, count: int, width: int) -> list[int]:
+    """The `count` balanced slots of a packed int: the values v_i with
+    x = sum v_i * 2^(i*width) and |v_i| < 2^(width-1)."""
+    nb, bias = width // 8, 1 << (width - 1)
+    raw = (x + _bias(count, width)).to_bytes(count * nb, "little")
+    return [int.from_bytes(raw[i:i + nb], "little") - bias for i in range(0, count * nb, nb)]
+
+
 def product_is_zero(left: Sequence[Sequence[int]], right: Sequence[Sequence[int]]) -> bool:
     """Exact test that the integer matrix product left * right vanishes.
 
     Applied to two companion embeddings it tests the product over Q(alpha),
-    since the embedding is multiplicative.  Zero entries on either side are
-    skipped, so sparse factors stay cheap.
+    since the embedding is multiplicative.  Each row of `right` is packed
+    once into one int (see `_pack`) with slots wider than the bound
+    max|right entry| * max ||left row||_1 on every entry of the product, so
+    a row of the product is one sum of int products, and that sum is zero
+    exactly when every slot, every product entry, is zero.  Zero entries of
+    `left` are skipped.
     """
     if left and len(left[0]) != len(right):
         raise StructuralError("inner dimensions do not match")
-    sparse = [[(k, y) for k, y in enumerate(row) if y] for row in right]
-    width = len(right[0]) if right else 0
+    if not left or not right:
+        return True
+    bound = max((abs(y) for row in right for y in row), default=0)
+    width = _slot_width(bound * max(sum(map(abs, row)) for row in left))
+    packed = [_pack(row, width) for row in right]
     for row in left:
-        acc = [0] * width
-        for k, x in enumerate(row):
-            if x:
-                for col, y in sparse[k]:
-                    acc[col] += x * y
-        if any(acc):
+        if sum(x * packed[k] for k, x in enumerate(row) if x):
             return False
     return True

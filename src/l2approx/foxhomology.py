@@ -24,15 +24,13 @@ ranks against independent oracles.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .exactalg import InvariantError, NumberField, ScaledMatrix, product_is_zero, rank_rows
+from .exactalg import InvariantError, ScaledMatrix, product_is_zero, rank_rows
 from .groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
                         IDENTITY_WORD, Word)
-from .repweights import (RepAssignment, WeightVector, evaluate, validate_weight, weight_dim,
-                         weight_rep)
+from .repweights import RepAssignment, WeightVector, evaluate, validate_weight, weight_dim
 
 
 def fox_derivative(w: Word, j: int, field) -> GroupAlgebraElement:
@@ -79,24 +77,6 @@ def check_fox_identity(p: GroupPresentation, field) -> None:
             raise InvariantError(f"fundamental Fox identity fails for relator {rel!r}")
 
 
-def _boundary(field: NumberField, gen_images: Sequence[Sequence[ScaledMatrix]],
-              lam: WeightVector) -> ScaledMatrix:
-    """D: the blocks rho(x_j) - Id for the per-generator, per-factor 2x2 images,
-    stacked over one denominator, in integer coordinates."""
-    images = [weight_rep(tup, lam) for tup in gen_images]
-    d = weight_dim(lam)
-    den = math.lcm(*(img.den for img in images))
-    entries = []
-    for img in images:
-        f = den // img.den
-        for k, v in enumerate(img.entries):
-            v = [f * x for x in v]
-            if k % (d + 1) == 0:  # diagonal
-                v[0] -= den
-            entries.append(tuple(v))
-    return ScaledMatrix(field, len(images) * d, d, den, tuple(entries))
-
-
 def presentation_complex(p: GroupPresentation, rep: RepAssignment, lam: Sequence[int]
                          ) -> tuple[ScaledMatrix, ScaledMatrix, list[list[int]], list[list[int]]]:
     """(J, D, rows of J, rows of D): the evaluated pair, J of shape (r*d, g*d)
@@ -107,7 +87,7 @@ def presentation_complex(p: GroupPresentation, rep: RepAssignment, lam: Sequence
     """
     lam = rep.check_admissible(lam, central=False)
     d = weight_dim(lam)
-    D = _boundary(rep.field, rep.images, lam)
+    D = evaluate(boundary_stack(p, rep.field), rep, lam)
     if p.num_relators:
         J = evaluate(fox_jacobian(p, rep.field), rep, lam)
     else:
@@ -160,7 +140,7 @@ def invariants_dim(rep: RepAssignment, lam: Sequence[int]) -> int:
     d = weight_dim(lam)
     if not rep.images:
         return d
-    return d - _boundary(rep.field, rep.images, lam).rank()
+    return d - evaluate(boundary_stack(rep.presentation, rep.field), rep, lam).rank()
 
 
 def coinvariants_dim(rep: RepAssignment, lam: Sequence[int]) -> int:
@@ -177,5 +157,7 @@ def coinvariants_dim(rep: RepAssignment, lam: Sequence[int]) -> int:
         return ScaledMatrix(g.field, 2, 2, g.den, (e, neg_c, neg_b, a))
 
     # Sym(g^-T) = B Sym(g^-1)^T B^-1 with one diagonal B for all blocks: the dual action's rank
-    dual = [[inverse_transpose(g) for g in tup] for tup in rep.images]
-    return d - _boundary(rep.field, dual, lam).rank()
+    # g -> g^-T is again a representation, with the same relator signs
+    dual = replace(rep, images=tuple(tuple(inverse_transpose(g) for g in tup)
+                                     for tup in rep.images))
+    return d - evaluate(boundary_stack(rep.presentation, rep.field), dual, lam).rank()

@@ -8,7 +8,7 @@ only their images under a matrix representation (`repweights.evaluate`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .exactalg import (Coeffish, FieldElement, FieldMismatchError, NumberField,
                        StructuralError, flatten_rows)
@@ -141,10 +141,6 @@ class GroupAlgebraElement:
         ordered = sorted(sum_terms(field, pairs).items(),
                          key=lambda t: (t[0].length, t[0].letters))
         return GroupAlgebraElement(field, tuple(ordered))
-
-    @staticmethod
-    def from_dict(field: NumberField, terms: Mapping[Word, Coeffish]) -> "GroupAlgebraElement":
-        return GroupAlgebraElement.from_terms(field, terms.items())
 
     @staticmethod
     def zero(field: NumberField) -> "GroupAlgebraElement":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .exactalg import (FieldMismatchError, NumberField, ScaledMatrix, StructuralError,
-                       scaled_vectors)
+                       _slot_width, _unpack, scaled_vectors)
 from .groupcore import GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation, Word
 
 WeightVector = tuple[int, ...]
@@ -60,62 +60,103 @@ def _identity_sign(g: ScaledMatrix) -> Optional[int]:
     return 1 if a[0] > 0 else -1
 
 
-def sym_power(g: ScaledMatrix, lam: int) -> ScaledMatrix:
-    """Matrix of the 2x2 matrix g on the lam-th symmetric power of its
-    defining 2-dim space."""
-    if lam < 0:
-        raise StructuralError("symmetric power degree must be non-negative")
-    if (g.rows, g.cols) != (2, 2):
-        raise StructuralError("expected a 2x2 matrix")
-    # Integer coordinates: g = (s*g)/s with s = g.den gives
-    # Sym^lam(g) = Sym^lam(s*g) / s^lam.  P[n] = t^n x^n for each entry x
-    # (t = the field's int_scale, 1 for an integral minpoly), so every
-    # coefficient below carries the same factor t^(lam+3).
+def _packed_sym_columns(g: ScaledMatrix, lam: int, width: int) -> list[tuple[int, ...]]:
+    """The columns of t^(lam+3) * Sym^lam(den * g), packed: column j as deg
+    ints (one per power-basis coordinate), each holding rows 0..lam in slots
+    of `width` bits, t = the field's int_scale and den = g.den.
+
+    Column j is the polynomial (a + c Y)^(lam-j) (b + d Y)^j, whose Y^i
+    coefficient is that of x^(lam-i) y^i; packing Y -> 2^width turns the
+    products into big-int products.  Its l1 norm is at most
+    M^lam * K^(lam+3), M = max(||(a,c)||_1, ||(b,d)||_1) over the integer
+    entries and K = the field's int_mul_bound: u[k] and v[k] below have l1
+    norm at most (K M)^k, and the last int_mul and the factor t^2 <= K^2
+    add K^3.
+    """
     field = g.field
-    mul, t, deg = field.int_mul, field.int_scale, field.degree
-    zero = (0,) * deg
-    one = (1,) + zero[1:]
+    mul, t = field.int_mul, field.int_scale
+    a, b, c, d = g.entries
+    l1 = [x + (y << width) for x, y in zip(a, c)]
+    l2 = [x + (y << width) for x, y in zip(b, d)]
+    one = (1,) + (0,) * (field.degree - 1)
+    u, v = [one], [one]  # u[k] = t^k l1^k, v[k] = t^k l2^k
+    for _ in range(lam):
+        u.append(mul(u[-1], l1))
+        v.append(mul(v[-1], l2))
+    cols = [mul(u[lam - j], v[j]) for j in range(lam + 1)]
+    return cols if t == 1 else [tuple(t * t * x for x in col) for col in cols]
 
-    def powers(x):
-        out = [one]
-        for _ in range(lam):
-            out.append(mul(out[-1], x))
-        return out
 
-    def sparse(v):
-        return [(i, x) for i, x in enumerate(v) if x]
+def _weight_parts(gs: Sequence[ScaledMatrix], lam: Sequence[int]) -> tuple[int, int]:
+    """(den, bound) of weight_rep(gs, lam): its denominator, and a bound on
+    the l1 norm of each of its integer columns.
 
-    pa, pb, pc, pd = (powers(x) for x in g.entries)
-    n = lam + 1
-    cols = []
-    for j in range(n):
-        # (a x + c y)^(lam-j) (b x + d y)^j, coefficient of x^(lam-i) y^i;
-        # products are summed as convolutions and reduced once per entry
-        p1 = [(k, v, math.comb(lam - j, k)) for k in range(lam - j + 1)
-              if (v := sparse(mul(pa[lam - j - k], pc[k])))]
-        p2 = [(l, v, math.comb(j, l)) for l in range(j + 1)
-              if (v := sparse(mul(pb[j - l], pd[l])))]
-        conv = [[0] * (2 * deg - 1) for _ in range(n)]
-        for k, v1, c1 in p1:
-            for l, v2, c2 in p2:
-                acc, c = conv[k + l], c1 * c2
-                for q1, x in v1:
-                    cx = c * x
-                    for q2, y in v2:
-                        acc[q1 + q2] += cx * y
-        cols.append([field.int_reduce(v) for v in conv])
-    return ScaledMatrix(field, n, n, g.den ** lam * t ** (lam + 3),
-                        tuple(cols[j][i] for i in range(n) for j in range(n)))
+    Per factor, den gains g.den^lam * t^(lam+3) and the bound
+    M^lam * K^(lam+3) (see `_packed_sym_columns`); each further factor adds
+    one int_mul, so one more t and K.
+    """
+    field = gs[0].field
+    t, k = field.int_scale, field.int_mul_bound
+    den = t ** (len(gs) - 1)
+    bound = k ** (len(gs) - 1)
+    for g, l in zip(gs, lam):
+        a, b, c, d = g.entries
+        m = max(sum(map(abs, a + c)), sum(map(abs, b + d)))
+        den *= g.den ** l * t ** (l + 3)
+        bound *= m ** l * k ** (l + 3)
+    return den, bound
+
+
+def _packed_weight_columns(gs: Sequence[ScaledMatrix], lam: Sequence[int],
+                           width: int) -> list[tuple[int, ...]]:
+    """The integer columns of weight_rep(gs, lam), packed in slots of `width`
+    bits as in `_packed_sym_columns`.
+
+    Row (i, k) of A (x) B is row i * n_B + k, so column (j, l) is
+    A_j(Y^n_B) * B_l(Y): A's packed column with slots n_B times wider times
+    B's packed column.  The same fold serves any number of factors.
+    """
+    mul = gs[0].field.int_mul
+    stride = weight_dim(lam[1:])
+    cols = _packed_sym_columns(gs[0], lam[0], width * stride)
+    for g, l in zip(gs[1:], lam[1:]):
+        stride //= l + 1
+        cols = [mul(x, y) for x in cols for y in _packed_sym_columns(g, l, width * stride)]
+    return cols
 
 
 def weight_rep(gs: Sequence[ScaledMatrix], lam: Sequence[int]) -> ScaledMatrix:
-    """Kronecker product over factors of sym_power(g_j, lam_j)."""
+    """Kronecker product over factors of Sym^lam_j(g_j), built from packed
+    columns (see `_packed_weight_columns`) whose slots are wider than the
+    column l1 bound of `_weight_parts`, so each unpacks exactly."""
     if len(gs) != len(lam):
         raise StructuralError(f"got {len(gs)} factor matrices for {len(lam)} weights")
-    out = sym_power(gs[0], lam[0])
-    for g, l in zip(gs[1:], lam[1:]):
-        out = out.kron(sym_power(g, l))
-    return out
+    for g in gs:
+        if g.field != gs[0].field:
+            raise FieldMismatchError("factor matrices over different fields")
+        if (g.rows, g.cols) != (2, 2):
+            raise StructuralError("expected a 2x2 matrix")
+    if any(l < 0 for l in lam):
+        raise StructuralError("symmetric power degree must be non-negative")
+    den, bound = _weight_parts(gs, lam)
+    width = _slot_width(bound)
+    n = weight_dim(lam)
+    cols = [list(zip(*(_unpack(x, n, width) for x in col)))
+            for col in _packed_weight_columns(gs, lam, width)]
+    return ScaledMatrix(gs[0].field, n, n, den,
+                        tuple(cols[j][i] for i in range(n) for j in range(n)))
+
+
+def sym_power(g: ScaledMatrix, lam: int) -> ScaledMatrix:
+    """Matrix of the 2x2 matrix g on the lam-th symmetric power of its
+    defining 2-dim space, over the denominator g.den^lam * t^(lam+3).
+
+    Built by Kronecker substitution (`_packed_sym_columns`): each packed
+    column has l1 norm at most M^lam * K^(lam+3) (M the larger l1 norm of
+    the integer columns of g, K the field's int_mul_bound), and its slots
+    are wider than that, so every entry unpacks exactly.
+    """
+    return weight_rep((g,), (lam,))
 
 
 def _central_sign(z: Union[int, ScaledMatrix]) -> int:
@@ -279,9 +320,17 @@ def evaluate(a: Union[GroupAlgebraElement, GroupAlgebraMatrix], rep: RepAssignme
 
     Sym^lam and the Kronecker product are homomorphisms, so each support word
     is multiplied out as a 2x2 matrix per factor and lifted to the weight
-    module once, in integer coordinates over one denominator.  A matrix
-    becomes the (rows*d) x (cols*d) block matrix with d = dim W; an element
-    becomes a d x d matrix.  No parity gate here.
+    module once, as packed integer columns (`_packed_weight_columns`).  Every
+    term c * rho(w) of a cell is added column by column on the packed ints,
+    scaled to one common denominator, and each output column is unpacked
+    once.  The slots are wider than the largest over the cells of
+    sum over terms f * ||c||_1 * (K if c is irrational else 1) * B_w, where
+    f scales the term to the common denominator, K is the field's
+    int_mul_bound and B_w bounds the l1 norm of a column of the word's image
+    (`_weight_parts`), so every entry unpacks exactly.
+
+    A matrix becomes the (rows*d) x (cols*d) block matrix with d = dim W; an
+    element becomes a d x d matrix.  No parity gate here.
     """
     lam = validate_weight(lam)
     if isinstance(a, GroupAlgebraElement):
@@ -293,39 +342,45 @@ def evaluate(a: Union[GroupAlgebraElement, GroupAlgebraMatrix], rep: RepAssignme
     if len(lam) != rep.n:
         raise StructuralError(f"weight has {len(lam)} entries for {rep.n} factors")
     field = rep.field
+    mul, t, k = field.int_mul, field.int_scale, field.int_mul_bound
     factors = [[tup[j] for tup in rep.images] for j in range(rep.n)]
-    lifted = {w: weight_rep([_word_image(f, w, field) for f in factors], lam)
-              for w in a.support()}
-    # each term c * lifted[w] as integer vectors over its own denominator; a
-    # rational c scales the image, any other c multiplies in (adding int_scale)
-    mul = field.int_mul
+    words = {w: [_word_image(f, w, field) for f in factors] for w in a.support()}
+    parts = {w: _weight_parts(gs, lam) for w, gs in words.items()}
+    # each term as (word, integer coefficient vector, irrational, its
+    # denominator); a rational c scales the image, any other c multiplies in
+    # (adding t)
     cells = []
     for e in a.entries:
         cell = []
         for w, c in e.terms:
             cden, (cvec,) = scaled_vectors([c])
-            img = lifted[w]
-            if any(cvec[1:]):
-                cell.append(([mul(cvec, v) for v in img.entries],
-                             cden * img.den * field.int_scale))
-            else:
-                cell.append(([tuple(cvec[0] * x for x in v) for v in img.entries],
-                             cden * img.den))
+            irr = any(cvec[1:])
+            cell.append((w, cvec, irr, cden * parts[w][0] * (t if irr else 1)))
         cells.append(cell)
-    den = math.lcm(1, *(tden for cell in cells for _, tden in cell))
+    den = math.lcm(1, *(tden for cell in cells for *_, tden in cell))
+    bound = max((sum(den // tden * sum(map(abs, cvec)) * (k if irr else 1) * parts[w][1]
+                     for w, cvec, irr, tden in cell) for cell in cells), default=0)
+    width = _slot_width(bound)
+    lifted = {w: _packed_weight_columns(gs, lam, width) for w, gs in words.items()}
     d = weight_dim(lam)
     out_cols = a.cols * d
-    flat = [[0] * field.degree for _ in range(a.rows * d * out_cols)]
+    zero = (0,) * field.degree
+    flat = [zero] * (a.rows * d * out_cols)
     for idx, cell in enumerate(cells):
+        if not cell:
+            continue
         i, j = divmod(idx, a.cols)
-        for vectors, tden in cell:
-            f = den // tden
-            for bi in range(d):
-                base = (i * d + bi) * out_cols + j * d
-                for bj, v in enumerate(vectors[bi * d:(bi + 1) * d]):
-                    if any(v):
-                        acc = flat[base + bj]
-                        for q, x in enumerate(v):
-                            acc[q] += f * x
-    return ScaledMatrix(field, a.rows * d, out_cols, den, tuple(tuple(v) for v in flat))
-
+        for bj in range(d):
+            acc = [0] * field.degree
+            for w, cvec, irr, tden in cell:
+                f, col = den // tden, lifted[w][bj]
+                if irr:
+                    term = mul([f * x for x in cvec], col)
+                else:
+                    s = f * cvec[0]
+                    term = [s * x for x in col]
+                acc = [x + y for x, y in zip(acc, term)]
+            rows = zip(*(_unpack(x, d, width) for x in acc))
+            for bi, v in enumerate(rows):
+                flat[(i * d + bi) * out_cols + j * d + bj] = v
+    return ScaledMatrix(field, a.rows * d, out_cols, den, tuple(flat))

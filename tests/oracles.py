@@ -316,6 +316,49 @@ def fraction_evaluate(a, rep, lam) -> DenseMatrix:
     return DenseMatrix(field, a.rows * d, out_cols, tuple(flat))
 
 
+# ---------------------------------------------------------------------------
+# a small non-abelian finite group for the regular-representation tests
+# ---------------------------------------------------------------------------
+
+_QUAT_TABLE = {
+    (1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2),
+    (2, 1): (-1, 3), (3, 2): (-1, 1), (1, 3): (-1, 2),
+}
+
+
+@dataclass(frozen=True)
+class QuaternionOps:
+    """The unit quaternions {+-1, +-i, +-j, +-k}; elements (sign, axis),
+    axis 0 = 1, 1 = i, 2 = j, 3 = k."""
+
+    @property
+    def identity(self) -> tuple[int, int]:
+        return (1, 0)
+
+    def mul(self, a, b):
+        sa, ka = a
+        sb, kb = b
+        s = sa * sb
+        if ka == 0:
+            return (s, kb)
+        if kb == 0:
+            return (s, ka)
+        if ka == kb:
+            return (-s, 0)
+        sgn, k = _QUAT_TABLE[(ka, kb)]
+        return (s * sgn, k)
+
+    def inv(self, a):
+        s, k = a
+        return (s, k) if k == 0 else (-s, k)
+
+    def all_elements(self) -> list[tuple[int, int]]:
+        return [(s, k) for k in range(4) for s in (1, -1)]
+
+    def center(self) -> list[tuple[int, int]]:
+        return [(1, 0), (-1, 0)]
+
+
 def dense_regular_rank(a, ops, elements, center=None, chi=None) -> Fraction:
     """Normalized rank of a finite group-algebra matrix on the regular module,
     from a dense `FieldElement` matrix over the full element list ranked by

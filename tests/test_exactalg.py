@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from l2approx.exactalg import (FieldMismatchError, NumberField, QQ, ScaledMatrix,
                                StructuralError, rank_rows)
 from l2approx.foxhomology import presentation_complex
+from l2approx.repweights import weight_rep
 
 from oracles import (block_diag, clear_denominators, companion_rows, dense,
-                     exact_matrix_rank_oracle, gauss_rank, minpoly_reduce, rank_mod_p,
-                     rational_rows, scaled)
+                     exact_matrix_rank_oracle, fraction_weight_rep, gauss_rank, minpoly_reduce,
+                     rank_mod_p, rational_rows, scaled)
 
 QW = NumberField((F(1), F(-1), F(1)))  # w^2 = w - 1
 QI = NumberField((F(1), F(0), F(1)))   # i^2 = -1
@@ -248,9 +249,10 @@ class TestCompanionEmbed:
 
 class TestMatrixOps:
     def test_kron_dimensions_and_values(self):
+        # Sym^1 is the identity map, so the weight (1, 1) module is a (x) b
         a = qmat([[1, 2], [3, 4]])
         b = qmat([[0, 1], [1, 0]])
-        k = dense(a.kron(b))
+        k = dense(weight_rep([a, b], (1, 1)))
         assert (k.rows, k.cols) == (4, 4)
         # entry (i*2+u, j*2+v) = a(i,j) * b(u,v)
         assert k.entry(0, 1).coeffs[0] == F(1) * F(1)
@@ -258,6 +260,7 @@ class TestMatrixOps:
         assert k.entry(2, 3).coeffs[0] == F(4) * F(1)
         assert k.entry(2, 2).coeffs[0] == F(0)
         assert k == dense(a).kron(dense(b))
+        assert k == fraction_weight_rep([dense(a), dense(b)], (1, 1))
 
     def test_mixed_field_entries_rejected(self):
         with pytest.raises(FieldMismatchError):

@@ -17,7 +17,7 @@ letters = st.lists(st.tuples(st.integers(min_value=0, max_value=2),
 
 
 def ga(terms):
-    return GroupAlgebraElement.from_dict(QQ, terms)
+    return GroupAlgebraElement.from_terms(QQ, terms.items())
 
 
 class TestFoxDerivative:

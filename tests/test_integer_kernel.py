@@ -110,7 +110,7 @@ def test_evaluate_matches_fraction_reference(field):
                 w = free_reduce([(rng.randrange(2), rng.choice((1, -1)))
                                  for _ in range(rng.randint(0, 4))])
                 terms[w] = random_element(field, rng)
-            cells.append(GroupAlgebraElement.from_dict(field, terms))
+            cells.append(GroupAlgebraElement.from_terms(field, terms.items()))
         a = GroupAlgebraMatrix.from_rows(field, [cells])
         for lam in ((1, 1), (2, 1)):
             assert dense(evaluate(a, rep, lam)) == fraction_evaluate(a, rep, lam)

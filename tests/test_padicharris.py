@@ -19,7 +19,7 @@ def z_presentation():
 def t_minus_one():
     t = word_from_string("t", ("t",))
     return GroupAlgebraMatrix.single(
-        GroupAlgebraElement.from_dict(QQ, {t: 1, IDENTITY_WORD: -1}))
+        GroupAlgebraElement.from_terms(QQ, [(t, 1), (IDENTITY_WORD, -1)]))
 
 
 def congruence_generators(p, level, n):
@@ -107,7 +107,7 @@ class TestHarris:
             assert r.error == r.envelope  # observed error equals index^(-1/3) exactly
 
     def test_scalar_full_rank_at_every_level(self):
-        a = GroupAlgebraMatrix.single(GroupAlgebraElement.from_dict(QQ, {IDENTITY_WORD: 3}))
+        a = GroupAlgebraMatrix.single(GroupAlgebraElement.from_terms(QQ, [(IDENTITY_WORD, 3)]))
         rows = harris_sequence(a, z_presentation(), unipotent_element_images(3), 3, [1, 2, 3])
         assert [r.value for r in rows] == [1, 1, 1]
 

@@ -284,8 +284,8 @@ class TestEvaluate:
         rep = two_factor_rep()
         lam = (1, 1)
         names = ("a", "b")
-        x = GroupAlgebraElement.from_dict(QW, {word_from_string("aB", names): 2,
-                                               IDENTITY_WORD: -1})
+        x = GroupAlgebraElement.from_terms(QW, [(word_from_string("aB", names), 2),
+                                                (IDENTITY_WORD, -1)])
         y = GroupAlgebraElement.from_terms(QW, [(word_from_string("ba", names), QW.gen())])
         out = dense(evaluate(GroupAlgebraMatrix.from_rows(QW, [[x, y]]), rep, lam))
         d = weight_dim(lam)

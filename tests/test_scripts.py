@@ -34,3 +34,14 @@ def test_readme_library_example():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "(0, 1, 1)" in proc.stdout.splitlines()
+
+
+def test_module_entry_point_prints_the_golden_output():
+    golden = ROOT / "tests" / "golden"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "l2approx", "--mode", "homology",
+                           "--entry", "figure-eight", "--weights", "2:20:2"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (golden / "homology-figure-eight.csv").read_text() + \
+        (golden / "homology-figure-eight.summary.txt").read_text()
