@@ -73,12 +73,14 @@ class CensusEntry:
 
     def expected_dims(self, lam: Sequence[int]) -> Optional[tuple[int, int, int]]:
         """Closed-form homology dimensions for cusped-manifold entries with
-        every weight even: (0, k - (min dim) * euler, k).  None when the
-        entry carries no manifold metadata or some weight is odd."""
+        every weight even and some weight nonzero: (0, k - d * euler, k), for
+        k cusps and module dimension d.  None when the entry carries no
+        manifold metadata, some weight is odd, or every weight is 0 (the
+        trivial module, where h0 = 1 and the closed form does not hold)."""
         lam = validate_weight(lam)
         if self.cusps is None or self.euler is None:
             return None
-        if any(l % 2 for l in lam):
+        if any(l % 2 for l in lam) or not any(lam):
             return None
         d = math.prod(l + 1 for l in lam)
         return (0, self.cusps - d * self.euler, self.cusps)

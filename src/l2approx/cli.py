@@ -123,8 +123,16 @@ def parse_config_file(path: str) -> ExperimentConfig:
     return cfg
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad flag as a `ConfigError`, so `main` prints it as one
+    line, in place of the usage block and an exit from inside argparse."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="l2approx",
         description="exact rank / twisted homology / finite-quotient approximation experiments")
     ap.add_argument("--config", default=None, help="flat key=value config file; flags win on conflict")

@@ -24,7 +24,7 @@ ranks against independent oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .exactalg import InvariantError, ScaledMatrix, product_is_zero, rank_rows
@@ -63,18 +63,6 @@ def boundary_stack(p: GroupPresentation, field) -> GroupAlgebraMatrix:
     return GroupAlgebraMatrix.from_rows(field, [
         [GroupAlgebraElement.from_terms(field, [(Word(((j, 1),)), 1), (IDENTITY_WORD, -1)])]
         for j in range(p.num_generators)])
-
-
-def check_fox_identity(p: GroupPresentation, field) -> None:
-    """Fundamental identity: sum_j d(r)/d(x_j) * (x_j - 1) = r - 1, per relator."""
-    stack = boundary_stack(p, field)
-    for rel in p.relators:
-        acc = GroupAlgebraElement.zero(field)
-        for j in range(p.num_generators):
-            acc = acc + fox_derivative(rel, j, field) * stack.entry(j, 0)
-        rhs = GroupAlgebraElement.from_terms(field, [(rel, 1), (IDENTITY_WORD, -1)])
-        if acc != rhs:
-            raise InvariantError(f"fundamental Fox identity fails for relator {rel!r}")
 
 
 def presentation_complex(p: GroupPresentation, rep: RepAssignment, lam: Sequence[int]
@@ -142,22 +130,3 @@ def invariants_dim(rep: RepAssignment, lam: Sequence[int]) -> int:
         return d
     return d - evaluate(boundary_stack(rep.presentation, rep.field), rep, lam).rank()
 
-
-def coinvariants_dim(rep: RepAssignment, lam: Sequence[int]) -> int:
-    """Dimension of the joint coinvariants (degree-0 homology), computed from
-    the transposed/dual action independently of homology_dims."""
-    lam = validate_weight(lam)
-    d = weight_dim(lam)
-    if not rep.images:
-        return d
-
-    def inverse_transpose(g: ScaledMatrix) -> ScaledMatrix:
-        a, b, c, e = g.entries
-        neg_b, neg_c = tuple(-x for x in b), tuple(-x for x in c)
-        return ScaledMatrix(g.field, 2, 2, g.den, (e, neg_c, neg_b, a))
-
-    # Sym(g^-T) = B Sym(g^-1)^T B^-1 with one diagonal B for all blocks: the dual action's rank
-    # g -> g^-T is again a representation, with the same relator signs
-    dual = replace(rep, images=tuple(tuple(inverse_transpose(g) for g in tup)
-                                     for tup in rep.images))
-    return d - evaluate(boundary_stack(rep.presentation, rep.field), dual, lam).rank()

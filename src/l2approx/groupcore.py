@@ -169,11 +169,6 @@ class GroupAlgebraElement:
         return GroupAlgebraElement.from_terms(
             self.field, ((w1 * w2, c1 * c2) for w1, c1 in self.terms for w2, c2 in other.terms))
 
-    def star(self) -> "GroupAlgebraElement":
-        """Formal adjoint: invert every word, keep coefficients."""
-        return GroupAlgebraElement.from_terms(self.field,
-                                              ((w.inverse(), c) for w, c in self.terms))
-
 
 @dataclass(frozen=True)
 class GroupAlgebraMatrix:
@@ -220,11 +215,6 @@ class GroupAlgebraMatrix:
                 flat.append(acc)
         return GroupAlgebraMatrix(self.field, self.rows, other.cols, tuple(flat))
 
-    def star(self) -> "GroupAlgebraMatrix":
-        """Transpose with every word inverted (formal adjoint)."""
-        flat = tuple(self.entry(i, j).star() for j in range(self.cols) for i in range(self.rows))
-        return GroupAlgebraMatrix(self.field, self.cols, self.rows, flat)
-
     def support(self) -> tuple[Word, ...]:
         seen: dict[Word, None] = {}
         for e in self.entries:
@@ -232,29 +222,3 @@ class GroupAlgebraMatrix:
                 seen.setdefault(w, None)
         return tuple(seen)
 
-
-def ga_block_diag(a: GroupAlgebraMatrix, b: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
-    if a.field != b.field:
-        raise FieldMismatchError("block sum over different fields")
-    z = GroupAlgebraElement.zero(a.field)
-    rows = []
-    for i in range(a.rows):
-        rows.append([a.entry(i, j) for j in range(a.cols)] + [z] * b.cols)
-    for i in range(b.rows):
-        rows.append([z] * a.cols + [b.entry(i, j) for j in range(b.cols)])
-    return GroupAlgebraMatrix.from_rows(a.field, rows)
-
-
-def ga_block_triangular(a: GroupAlgebraMatrix, c: GroupAlgebraMatrix, b: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
-    """Assemble [[A, C], [0, B]]; C must be a.rows x b.cols."""
-    if not (a.field == b.field == c.field):
-        raise FieldMismatchError("block assembly over different fields")
-    if c.rows != a.rows or c.cols != b.cols:
-        raise StructuralError("corner block has incompatible shape")
-    z = GroupAlgebraElement.zero(a.field)
-    rows = []
-    for i in range(a.rows):
-        rows.append([a.entry(i, j) for j in range(a.cols)] + [c.entry(i, j) for j in range(c.cols)])
-    for i in range(b.rows):
-        rows.append([z] * a.cols + [b.entry(i, j) for j in range(b.cols)])
-    return GroupAlgebraMatrix.from_rows(a.field, rows)

@@ -3,19 +3,26 @@
 Four families live here:
 
 * representation rank of a group-algebra matrix through a weight module,
-* von Neumann rank over a finite group (regular representation, exact),
+* von Neumann rank over a finite group (exact),
 * twisted finite-group rank relative to a central character, and
 * Lueck ranks through finite quotient maps.
 
-All values are exact `Fraction`s.  Regular representations are materialized
-over the subgroup generated by the matrix support rather than the whole
-quotient: the normalized rank is identical (the von Neumann rank of a matrix
-does not change when the group is enlarged), and this keeps deep congruence
-levels within reach.  Passing `elements=` forces the full materialization.
+All values are exact `Fraction`s.  Over an abelian group Z/m_1 x ... x Z/m_g
+the von Neumann rank is summed over the rational Wedderburn decomposition
+Q[Q] = (+)_C Q(zeta_|C|), one small block per cyclic subgroup C of the dual
+group.  Over any other group the regular representation is materialized over
+the subgroup generated by the matrix support rather than the whole quotient:
+the normalized rank is identical (the von Neumann rank of a matrix does not
+change when the group is enlarged), and this keeps deep congruence levels
+within reach.  Passing `elements=` forces the full materialization, for
+every group.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,14 +35,15 @@ from .repweights import RepAssignment, evaluate, weight_dim
 
 RankValue = Fraction
 
-# bounds |H| * max(rows, cols) for materialized regular representations;
-# |H| above ~4k means millions of dense entries under elimination
+# bounds the side of the largest matrix materialized: |H| * max(rows, cols)
+# for a regular representation, phi(k) * max(rows, cols) for a Wedderburn
+# block; a side above ~4k means millions of dense entries under elimination
 DEFAULT_MEMORY_CAP = 4096
 _MEMORY_CAP_ENV = "L2APPROX_MEMORY_CAP"
 
 
 class MemoryCapError(RuntimeError):
-    """Materializing the requested regular representation would exceed the cap."""
+    """Materializing the requested matrix would exceed the cap."""
 
 
 def memory_cap() -> int:
@@ -219,17 +227,84 @@ def finite_vn_rank(a: FiniteAlgebraMatrix, ops: GroupOps, *,
     """Exact von Neumann rank rk(a) = rank of the regular representation / |Q|.
 
     With `elements` given, the representation is materialized over exactly
-    that full element list.  Otherwise it is materialized over the subgroup
-    generated by the support, which yields the same normalized value.
+    that full element list.  Otherwise an `AbelianTupleOps` group is ranked
+    block by block over its Wedderburn decomposition (`_wedderburn_rank`),
+    and any other group is materialized over the subgroup generated by the
+    support, which yields the same normalized value.
     """
     if a.rows == 0 or a.cols == 0:
         return Fraction(0)
     limit = memory_cap()
     if elements is None:
+        if isinstance(ops, AbelianTupleOps):
+            return _wedderburn_rank(a, ops.moduli, limit)
         elements = subgroup_closure(ops, a.support(), max(1, limit // max(a.rows, a.cols)))
     mat, m = _regular_rep(a, ops, list(elements), [ops.identity], {ops.identity: a.field.one},
                           limit)
     return Fraction(mat.rank(), m)
+
+
+def _wedderburn_rank(a: FiniteAlgebraMatrix, moduli: Sequence[int], limit: int) -> RankValue:
+    """rk(a) over Q = Z/m_1 x ... x Z/m_g by the rational Wedderburn
+    decomposition Q[Q] = (+)_v Q(zeta_k), one summand per orbit
+    {u * v : gcd(u, k) = 1} of an element v of order k in the dual group.
+
+    The character of v sends g to zeta_M^(sum v_i g_i M / m_i), M = lcm(m_i),
+    which is zeta_k^e(g).  On the summand, with the power basis of Q(zeta_k)
+    modulo Phi_k, g acts as multiplication by zeta_k^e(g), an integer matrix;
+    over a's field K, cell sum c_g g becomes the phi(k) x phi(k) block
+    sum c_g zeta_k^e(g).  The K-ranks of the blocks add up to the rank of the
+    regular representation, so the value is their sum over |Q|, exactly.
+
+    A `MemoryCapError` refuses, before any block is built, a block side
+    phi(k) * max(r, s) above `limit` (phi(M) is the largest phi(k)) and a
+    group with |Q| above limit^2, the entry count of the largest dense matrix
+    the cap admits, which bounds the byte map of visited characters.
+    """
+    order = math.prod(moduli)
+    if order > limit * limit:
+        raise MemoryCapError(f"|Q| = {order} exceeds the cap squared ({limit * limit})")
+    big = math.lcm(1, *moduli)
+    side = _totient(big) * max(a.rows, a.cols)
+    if side > limit:
+        raise MemoryCapError(f"phi({big}) * max(r, s) = {side} exceeds the cap ({limit})")
+    field = a.field
+    den, vectors = scaled_vectors([c for cell in a.entries for c in cell.values()])
+    coeffs = iter(vectors)
+    cells = [[(g, next(coeffs)) for g in cell] for cell in a.entries]
+    strides = [math.prod(moduli[i + 1:]) for i in range(len(moduli))]
+    zero = (0,) * field.degree
+    seen = bytearray(order)
+    tables: dict[int, tuple] = {}  # k -> (phi(k), powers of zeta_k)
+    total = 0
+    for idx, v in enumerate(itertools.product(*map(range, moduli))):
+        if seen[idx]:
+            continue
+        weights = [x * (big // m) for x, m in zip(v, moduli)]
+        step = math.gcd(big, *weights)
+        k = big // step
+        for u in range(1, k + 1):
+            if math.gcd(u, k) == 1:
+                seen[sum(u * x % m * st for x, m, st in zip(v, moduli, strides))] = 1
+        # zeta_M^(sum w_i g_i) = zeta_k^(sum (w_i / step) g_i)
+        weights = [w // step for w in weights]
+        if k not in tables:
+            tables[k] = (_totient(k), _root_powers(k))
+        n, powers = tables[k]
+        out_rows, out_cols = a.rows * n, a.cols * n
+        flat = [zero] * (out_rows * out_cols)
+        for cell_idx, cell in enumerate(cells):
+            i, j = divmod(cell_idx, a.cols)
+            base = i * n * out_cols + j * n
+            for g, vec in cell:
+                e = sum(w * x for w, x in zip(weights, g))
+                # column c of zeta_k^e holds the coordinates of zeta_k^(e + c)
+                for c in range(n):
+                    for l, y in powers[(e + c) % k]:
+                        at = base + l * out_cols + c
+                        flat[at] = tuple(x + y * t for x, t in zip(flat[at], vec))
+        total += ScaledMatrix(field, out_rows, out_cols, den, tuple(flat)).rank()
+    return Fraction(total, order)
 
 
 def twisted_finite_rank(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequence,
@@ -321,16 +396,44 @@ def cyclotomic_field(m: int) -> tuple[NumberField, FieldElement]:
     return field, field.gen()
 
 
-def _cyclotomic_poly(m: int) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_poly(m: int) -> tuple[int, ...]:
     # Phi_m = (x^m - 1) / prod_{d | m, d < m} Phi_d, exact integer division
     num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
             num = _intpoly_div(num, _cyclotomic_poly(d))
-    return num
+    return tuple(num)
 
 
-def _intpoly_div(num: list[int], den: list[int]) -> list[int]:
+def _totient(n: int) -> int:
+    # Euler's phi by trial division; n is at most the cap squared here
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out - out // n if n > 1 else out
+
+
+def _root_powers(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (index, coordinate) pairs of zeta_k^0 .. zeta_k^(k-1) in
+    the power basis 1, x, .., x^(phi(k)-1) of Q(zeta_k) = Q[x] / Phi_k."""
+    poly = _cyclotomic_poly(k)
+    cur = [1] + [0] * (len(poly) - 2)
+    out = []
+    for _ in range(k):
+        out.append(tuple((l, y) for l, y in enumerate(cur) if y))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [x - top * p for x, p in zip(cur, poly)]
+    return tuple(out)
+
+
+def _intpoly_div(num: Sequence[int], den: Sequence[int]) -> list[int]:
     num = list(num)
     q = [0] * (len(num) - len(den) + 1)
     for k in range(len(num) - len(den), -1, -1):

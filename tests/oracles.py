@@ -7,19 +7,27 @@ symmetric powers from sympy's symbolic expansion or from `FieldElement`
 arithmetic on Fractions (the library's former implementation), slopes from
 numpy.  These are the second route of every dual-route check.  Matrices here
 are `DenseMatrix`es of `FieldElement`s; `dense` views a library
-`ScaledMatrix` that way and `scaled` converts back.
+`ScaledMatrix` that way and `scaled` converts back.  The group-algebra
+block and adjoint constructions, the Fox identity check and the coinvariant
+dimension (through the dual action) serve only the tests and live here too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import sympy as sp
 
-from l2approx.exactalg import FieldElement, NumberField, ScaledMatrix
+from l2approx.exactalg import (FieldElement, FieldMismatchError, InvariantError, NumberField,
+                               ScaledMatrix, StructuralError)
+from l2approx.foxhomology import boundary_stack, fox_derivative
+from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
+                                IDENTITY_WORD)
+from l2approx.repweights import RepAssignment, evaluate, validate_weight, weight_dim
 
 
 @dataclass(frozen=True)
@@ -385,3 +393,81 @@ def dense_regular_rank(a, ops, elements, center=None, chi=None) -> Fraction:
                         flat[k] = flat[k] + coef
     m = DenseMatrix(field, a.rows * q, out_cols, tuple(flat))
     return Fraction(exact_matrix_rank_oracle(m) * len(center), q)
+
+
+# ---------------------------------------------------------------------------
+# group-algebra constructions the axiom tests assemble matrices with
+# ---------------------------------------------------------------------------
+
+def ga_star(x: GroupAlgebraElement) -> GroupAlgebraElement:
+    """Formal adjoint: invert every word, keep coefficients."""
+    return GroupAlgebraElement.from_terms(x.field, ((w.inverse(), c) for w, c in x.terms))
+
+
+def ga_matrix_star(m: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
+    """Transpose with every word inverted (formal adjoint)."""
+    flat = tuple(ga_star(m.entry(i, j)) for j in range(m.cols) for i in range(m.rows))
+    return GroupAlgebraMatrix(m.field, m.cols, m.rows, flat)
+
+
+def ga_block_diag(a: GroupAlgebraMatrix, b: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
+    if a.field != b.field:
+        raise FieldMismatchError("block sum over different fields")
+    z = GroupAlgebraElement.zero(a.field)
+    rows = []
+    for i in range(a.rows):
+        rows.append([a.entry(i, j) for j in range(a.cols)] + [z] * b.cols)
+    for i in range(b.rows):
+        rows.append([z] * a.cols + [b.entry(i, j) for j in range(b.cols)])
+    return GroupAlgebraMatrix.from_rows(a.field, rows)
+
+
+def ga_block_triangular(a: GroupAlgebraMatrix, c: GroupAlgebraMatrix, b: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
+    """Assemble [[A, C], [0, B]]; C must be a.rows x b.cols."""
+    if not (a.field == b.field == c.field):
+        raise FieldMismatchError("block assembly over different fields")
+    if c.rows != a.rows or c.cols != b.cols:
+        raise StructuralError("corner block has incompatible shape")
+    z = GroupAlgebraElement.zero(a.field)
+    rows = []
+    for i in range(a.rows):
+        rows.append([a.entry(i, j) for j in range(a.cols)] + [c.entry(i, j) for j in range(c.cols)])
+    for i in range(b.rows):
+        rows.append([z] * a.cols + [b.entry(i, j) for j in range(b.cols)])
+    return GroupAlgebraMatrix.from_rows(a.field, rows)
+
+
+# ---------------------------------------------------------------------------
+# Fox-calculus identities and degree-0 homology by an independent route
+# ---------------------------------------------------------------------------
+
+def check_fox_identity(p: GroupPresentation, field) -> None:
+    """Fundamental identity: sum_j d(r)/d(x_j) * (x_j - 1) = r - 1, per relator."""
+    stack = boundary_stack(p, field)
+    for rel in p.relators:
+        acc = GroupAlgebraElement.zero(field)
+        for j in range(p.num_generators):
+            acc = acc + fox_derivative(rel, j, field) * stack.entry(j, 0)
+        rhs = GroupAlgebraElement.from_terms(field, [(rel, 1), (IDENTITY_WORD, -1)])
+        if acc != rhs:
+            raise InvariantError(f"fundamental Fox identity fails for relator {rel!r}")
+
+
+def coinvariants_dim(rep: RepAssignment, lam: Sequence[int]) -> int:
+    """Dimension of the joint coinvariants (degree-0 homology), computed from
+    the transposed/dual action independently of homology_dims."""
+    lam = validate_weight(lam)
+    d = weight_dim(lam)
+    if not rep.images:
+        return d
+
+    def inverse_transpose(g: ScaledMatrix) -> ScaledMatrix:
+        a, b, c, e = g.entries
+        neg_b, neg_c = tuple(-x for x in b), tuple(-x for x in c)
+        return ScaledMatrix(g.field, 2, 2, g.den, (e, neg_c, neg_b, a))
+
+    # Sym(g^-T) = B Sym(g^-1)^T B^-1 with one diagonal B for all blocks: the dual action's rank
+    # g -> g^-T is again a representation, with the same relator signs
+    dual = replace(rep, images=tuple(tuple(inverse_transpose(g) for g in tup)
+                                     for tup in rep.images))
+    return d - evaluate(boundary_stack(rep.presentation, rep.field), dual, lam).rank()

@@ -14,7 +14,7 @@ from l2approx.exactalg import NumberField, QQ, ScaledMatrix
 from l2approx.foxhomology import homology_dims, invariants_dim
 from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix,
                                 GroupPresentation, IDENTITY_WORD, free_reduce,
-                                ga_block_diag, ga_block_triangular, word_from_string)
+                                word_from_string)
 from l2approx.limitlab import betti_estimate, weight_schedule
 from l2approx.padicharris import harris_sequence, unipotent_element_images
 from l2approx.rankfun import (FiniteAlgebraMatrix, FiniteQuotientMap, PermutationOps,
@@ -22,7 +22,8 @@ from l2approx.rankfun import (FiniteAlgebraMatrix, FiniteQuotientMap, Permutatio
                               cyclotomic_field, finite_vn_rank, luck_rank,
                               subgroup_closure, sylvester_rank, twisted_finite_rank)
 
-from oracles import QuaternionOps, companion_rows, dense, gauss_rank
+from oracles import (QuaternionOps, companion_rows, dense, ga_block_diag, ga_block_triangular,
+                     gauss_rank)
 
 
 @contextmanager

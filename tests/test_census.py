@@ -6,6 +6,7 @@ import pytest
 from l2approx.census import (CensusEntry, CensusFormatError, builtin_catalog,
                              builtin_entry, load_entry, load_entry_text,
                              _certify_irreducible)
+from l2approx.foxhomology import homology_dims
 
 DATA = Path(__file__).parent.parent / "src" / "l2approx" / "data"
 
@@ -34,6 +35,13 @@ class TestBuiltins:
         for lam in (2, 4, 6, 8, 10):
             assert whitehead.expected_dims((lam,)) == (0, 2, 2)
         assert whitehead.expected_dims((3,)) is None
+
+    def test_expected_dims_is_none_at_the_zero_weight(self, fig8, whitehead):
+        # the trivial module has h0 = 1, so the cusped closed form fails there
+        assert fig8.expected_dims((0,)) is None
+        assert whitehead.expected_dims((0,)) is None
+        assert homology_dims(fig8.presentation, fig8.rep, (0,)).dims() == (1, 1, 0)
+        assert homology_dims(whitehead.presentation, whitehead.rep, (0,)).dims() == (1, 2, 1)
 
     def test_expected_dims_requires_manifold_metadata(self, sanov):
         assert sanov.expected_dims((2,)) is None

@@ -186,6 +186,27 @@ class TestErrors:
         assert not (tmp_path / "x.csv").exists()
 
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--degree", "7"], "argument --degree: invalid choice: 7 (choose from 0, 1, 2)"),
+        (["--bogus"], "unrecognized arguments: --bogus")], ids=["bad-choice", "unknown-flag"])
+    def test_argparse_errors_are_one_line_config_errors(self, tmp_path, capsys, extra, message):
+        rc = main(["--mode", "limit", "--entry", "sanov-f2", "--weights", "1:4"] + extra
+                  + ["--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: ConfigError: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_help_prints_the_usage_and_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out == cli.build_arg_parser().format_help()
+        assert captured.out.startswith("usage: l2approx ")
+        assert captured.err == ""
+
     @pytest.mark.parametrize("flag, value", [("--rows", "0"), ("--cols", "0"),
                                              ("--rows", "-2"), ("--word-len", "-1")])
     def test_bad_matrix_sizes_rejected(self, tmp_path, capsys, flag, value):

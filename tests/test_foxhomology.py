@@ -3,14 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l2approx.exactalg import QQ, ScaledMatrix
-from l2approx.foxhomology import (boundary_stack, check_fox_identity, coinvariants_dim,
-                                  fox_derivative, homology_dims, invariants_dim,
-                                  presentation_complex)
+from l2approx.foxhomology import (boundary_stack, fox_derivative, homology_dims,
+                                  invariants_dim, presentation_complex)
 from l2approx.groupcore import (GroupAlgebraElement, GroupPresentation, IDENTITY_WORD,
                                 Word, free_reduce, word_from_string)
 from l2approx.repweights import ParityError, RepAssignment
 
-from oracles import dense
+from oracles import check_fox_identity, coinvariants_dim, dense
 
 letters = st.lists(st.tuples(st.integers(min_value=0, max_value=2),
                              st.sampled_from((1, -1))), max_size=10)

@@ -15,14 +15,14 @@ import pytest
 from l2approx.census import builtin_entry
 from l2approx.exactalg import (InvariantError, NumberField, QQ, ScaledMatrix, product_is_zero,
                                scaled_vectors)
-from l2approx.foxhomology import (coinvariants_dim, fox_jacobian, homology_dims,
-                                  presentation_complex)
+from l2approx.foxhomology import fox_jacobian, homology_dims, presentation_complex
 from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
                                 free_reduce)
 from l2approx.padicharris import diagonal_element_images
 from l2approx.repweights import RepAssignment, evaluate, sym_power, weight_rep
 
-from oracles import (DenseMatrix, adjugate, companion_rows, dense, exact_matrix_rank_oracle,
+from oracles import (DenseMatrix, adjugate, coinvariants_dim, companion_rows, dense,
+                     exact_matrix_rank_oracle,
                      fraction_evaluate, fraction_sym_power, fraction_weight_rep, scaled,
                      vstack)
 

@@ -4,11 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from l2approx import rankfun
+from l2approx.cli import main
 from l2approx.exactalg import FieldMismatchError, QQ, ScaledMatrix, StructuralError
 from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix,
                                 GroupPresentation, IDENTITY_WORD,
-                                free_reduce, ga_block_diag, ga_block_triangular,
-                                word_from_string)
+                                free_reduce, word_from_string)
 from l2approx.rankfun import (AbelianTupleOps, FiniteAlgebraMatrix, FiniteQuotientMap,
                               MemoryCapError, PermutationOps,
                               characters_of_cyclic, cyclic_generator,
@@ -17,7 +18,8 @@ from l2approx.rankfun import (AbelianTupleOps, FiniteAlgebraMatrix, FiniteQuotie
                               sylvester_rank, twisted_finite_rank)
 from l2approx.repweights import ParityError, evaluate
 
-from oracles import QuaternionOps, companion_rows, dense, dense_regular_rank, gauss_rank
+from oracles import (QuaternionOps, companion_rows, dense, dense_regular_rank, ga_block_diag,
+                     ga_block_triangular, ga_matrix_star, gauss_rank)
 
 
 def random_element(rng, field, names, word_len=4, coeff_span=2, terms=3):
@@ -120,7 +122,7 @@ class TestSylvesterRank:
                 a = random_ga_matrix(rng, entry.field, names, rng.randint(1, 2), rng.randint(1, 2))
                 lam = (rng.randint(0, 3),)
                 assert sylvester_rank(a, entry.rep, lam) == \
-                    sylvester_rank(a.star(), entry.rep, lam)
+                    sylvester_rank(ga_matrix_star(a), entry.rep, lam)
 
     def test_field_independence_through_companion(self, fig8):
         # evaluating over Q(w) then embedding to Q rescales the rank by the degree
@@ -272,6 +274,77 @@ class TestFiniteVnRank:
             with pytest.raises(ValueError,
                                match=f"L2APPROX_MEMORY_CAP must be positive, got '{value}'"):
                 memory_cap()
+
+
+class TestWedderburnRank:
+    """`finite_vn_rank` over `AbelianTupleOps` sums one block per cyclic
+    subgroup of the dual group; `elements=` materializes the full regular
+    representation, the reference."""
+
+    MODULI = [(2,), (6,), (12,), (4, 4), (2, 6), (3, 3, 2), (5, 10), (8, 4)]
+    SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (2, 3), (3, 2)]
+
+    @pytest.mark.parametrize("field", [QQ, cyclotomic_field(6)[0]], ids=["Q", "Q(w)"])
+    def test_matches_full_materialization(self, field):
+        # K = Q(w) meets Q(zeta_k) in Q(w) itself for k = 3, 6, 12; the
+        # coefficients include non-units and fractions, and cells may be empty
+        rng = random.Random(52)
+        gen = field.gen() if field.degree > 1 else field.from_rational(F(1, 2))
+        coeffs = [field.one, -field.one, field.from_rational(2), gen, gen + field.one]
+        for moduli in self.MODULI:
+            ops = AbelianTupleOps(moduli)
+            elements = list(itertools.product(*map(range, moduli)))
+            for rows, cols in self.SHAPES:
+                zero = FiniteAlgebraMatrix.from_rows(field, [[{}] * cols] * rows)
+                assert finite_vn_rank(zero, ops) == 0
+                for _ in range(2):
+                    a = FiniteAlgebraMatrix.from_rows(field, [
+                        [{rng.choice(elements): rng.choice(coeffs)
+                          for _ in range(rng.randint(0, 3))} for _ in range(cols)]
+                        for _ in range(rows)])
+                    assert finite_vn_rank(a, ops) == finite_vn_rank(a, ops, elements=elements)
+
+    def test_builds_no_regular_representation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the abelian path must not materialize the regular module")
+
+        monkeypatch.setattr(rankfun, "_regular_rep", refuse)
+        monkeypatch.setattr(rankfun, "subgroup_closure", refuse)
+        ops = AbelianTupleOps((4, 4))
+        a = FiniteAlgebraMatrix.from_rows(QQ, [[{(1, 0): 1, (0, 0): -1}],
+                                               [{(0, 1): 1, (0, 0): -1}]])
+        assert finite_vn_rank(a, ops) == F(15, 16)
+
+    def test_block_over_the_cap_is_refused_before_any_block(self, monkeypatch):
+        monkeypatch.setenv("L2APPROX_MEMORY_CAP", "8")
+        a = FiniteAlgebraMatrix.single(QQ, {(1,): 1, (0,): -1})
+        # phi(16) * 1 = 8 fits, phi(32) = 16 does not; nor does phi(16) * 2
+        assert finite_vn_rank(a, AbelianTupleOps((16,))) == F(15, 16)
+        monkeypatch.setattr(rankfun, "_root_powers", None)
+        with pytest.raises(MemoryCapError,
+                           match=r"phi\(32\) \* max\(r, s\) = 16 exceeds the cap \(8\)"):
+            finite_vn_rank(a, AbelianTupleOps((32,)))
+        tall = FiniteAlgebraMatrix.from_rows(QQ, [[{(1,): 1}], [{(0,): 1}]])
+        with pytest.raises(MemoryCapError,
+                           match=r"phi\(16\) \* max\(r, s\) = 16 exceeds the cap \(8\)"):
+            finite_vn_rank(tall, AbelianTupleOps((16,)))
+
+    def test_group_over_the_cap_squared_is_refused(self, monkeypatch):
+        monkeypatch.setenv("L2APPROX_MEMORY_CAP", "4")
+        a = FiniteAlgebraMatrix.single(QQ, {(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0): -1})
+        assert finite_vn_rank(a, AbelianTupleOps((2, 2, 2, 2))) == F(1, 2)
+        monkeypatch.setattr(rankfun, "_root_powers", None)
+        with pytest.raises(MemoryCapError, match=r"\|Q\| = 32 exceeds the cap squared \(16\)"):
+            finite_vn_rank(a, AbelianTupleOps((2, 2, 2, 2, 2)))
+
+    def test_cli_z2_lattice_at_64_fits_the_default_cap(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("L2APPROX_MEMORY_CAP", raising=False)
+        out = tmp_path / "luck.csv"
+        assert main(["--mode", "luck", "--entry", "z2-lattice", "--quotients", "32,64",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(r[2], F(int(r[5]), int(r[6]))) for r in rows] == \
+            [("32", 1 - F(1, 32 ** 2)), ("64", 1 - F(1, 64 ** 2))]
 
 
 class TestTwistedRank:
