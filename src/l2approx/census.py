@@ -43,6 +43,7 @@ from typing import Optional, Sequence, Union
 
 from .exactalg import NumberField, ScaledMatrix
 from .groupcore import GroupPresentation, word_from_string
+from .modp import factor_degrees
 from .repweights import RepAssignment, validate_weight
 
 _BUILTIN_FILES = {
@@ -266,7 +267,7 @@ def _certify_irreducible(minpoly: Sequence[Fraction], path: str) -> None:
         return  # no rational root settles degree 2 and 3
     possible = set(range(1, deg))
     for p in _CERT_PRIMES:
-        degrees = _factor_degrees_mod_p(ipoly, p)
+        degrees = factor_degrees(ipoly, p)
         if degrees is None:
             continue
         sums = _subset_sums(degrees)
@@ -310,110 +311,3 @@ def _subset_sums(degrees: list[int]) -> set[int]:
     for d in degrees:
         sums |= {s + d for s in sums}
     return sums
-
-
-def _factor_degrees_mod_p(ipoly: list[int], p: int) -> Optional[list[int]]:
-    """Degrees of the irreducible factors of the polynomial mod p, or None if
-    this prime is unusable (divides the leading coefficient, or the reduction
-    is not squarefree)."""
-    f = [c % p for c in ipoly]
-    while f and f[-1] == 0:
-        f.pop()
-    if len(f) != len(ipoly):
-        return None  # leading coefficient vanished
-    inv_lead = pow(f[-1], -1, p)
-    f = [c * inv_lead % p for c in f]
-    fp = [(k * c) % p for k, c in enumerate(f)][1:]
-    if _pgcd(f, fp, p) != [1]:
-        return None  # not squarefree mod p
-    degrees = []
-    fcur = f
-    h = [0, 1]  # the polynomial x
-    k = 0
-    while len(fcur) - 1 >= 1:
-        k += 1
-        if 2 * k > len(fcur) - 1:
-            degrees.append(len(fcur) - 1)
-            break
-        h = _ppowmod(h, p, fcur, p)
-        g = _pgcd(_psub(h, [0, 1], p), fcur, p)
-        if len(g) > 1:
-            degrees.extend([k] * ((len(g) - 1) // k))
-            fcur = _pdiv(fcur, g, p)
-            h = _pmod(h, fcur, p)
-    return degrees
-
-
-def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = list(a)
-    inv = pow(m[-1], -1, p)
-    for k in range(len(a) - len(m), -1, -1):
-        c = a[k + len(m) - 1] * inv % p
-        if c:
-            for j, mj in enumerate(m):
-                a[k + j] = (a[k + j] - c * mj) % p
-    while a and a[-1] == 0:
-        a.pop()
-    return a or [0]
-
-
-def _pdiv(a: list[int], b: list[int], p: int) -> list[int]:
-    a = list(a)
-    inv = pow(b[-1], -1, p)
-    q = [0] * (len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] * inv % p
-        q[k] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[k + j] = (a[k + j] - c * bj) % p
-    return q
-
-
-def _pmulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pmod(out, m, p)
-
-
-def _ppowmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    out = [1]
-    base = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            out = _pmulmod(out, base, m, p)
-        base = _pmulmod(base, base, m, p)
-        e >>= 1
-    return out
-
-
-def _psub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, ai in enumerate(a):
-        out[i] = ai % p
-    for i, bi in enumerate(b):
-        out[i] = (out[i] - bi) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out or [0]
-
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a or [0]
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a = _ptrim([c % p for c in a])
-    b = _ptrim([c % p for c in b])
-    while b != [0]:
-        a, b = b, _pmod(a, b, p)
-    if a == [0]:
-        return [0]
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]

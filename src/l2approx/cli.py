@@ -19,7 +19,7 @@ import random
 import re
 import sys
 import typing
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
+from dataclasses import dataclass, field as dc_field, fields as dc_fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -87,15 +87,6 @@ class ExperimentConfig:
     target: str = _flag("", "rational comparison target")
     out: str = _flag("", "CSV output path")
 
-    def merged_with_flags(self, other: "ExperimentConfig") -> "ExperimentConfig":
-        """Overlay non-default flag values on top of this config (flags win)."""
-        out = ExperimentConfig(**{f.name: getattr(self, f.name) for f in dc_fields(self)})
-        for f in dc_fields(other):
-            v = getattr(other, f.name)
-            if v not in ("", None):
-                setattr(out, f.name, v)
-        return out
-
 
 # field name -> resolved type (str or Optional[int])
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
@@ -143,12 +134,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(argv: Sequence[str]) -> ExperimentConfig:
+    """The config file (or the defaults) with every flag given a value other
+    than "" laid over it: flags win."""
     ns = build_arg_parser().parse_args(argv)
-    flags = ExperimentConfig(**{name: value for name, value in vars(ns).items()
-                                if name != "config" and value is not None})
-    if ns.config:
-        return parse_config_file(ns.config).merged_with_flags(flags)
-    return flags
+    given = {name: value for name, value in vars(ns).items()
+             if name != "config" and value not in (None, "")}
+    return replace(parse_config_file(ns.config) if ns.config else ExperimentConfig(), **given)
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,6 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         return free_reduce(self.letters + other.letters)
 
-    def inverse(self) -> "Word":
-        return Word(tuple((i, -e) for i, e in reversed(self.letters)))
-
     def max_generator(self) -> int:
         return max((i for i, _ in self.letters), default=-1)
 

@@ -18,21 +18,11 @@ from typing import Optional, Sequence
 
 from .exactalg import QQ, ScaledMatrix, StructuralError
 from .groupcore import GroupAlgebraMatrix, GroupPresentation
+from .modp import is_prime
 from .rankfun import FiniteQuotientMap, luck_rank
 
 Mat2 = tuple[int, int, int, int]  # row-major entries mod p^level
 CongElement = tuple[Mat2, ...]  # one 2x2 matrix per factor
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    k = 2
-    while k * k <= m:
-        if m % k == 0:
-            return False
-        k += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -128,7 +118,7 @@ def harris_sequence(a: GroupAlgebraMatrix, presentation: GroupPresentation,
     first congruence subgroup (congruent to the identity mod p).  The rank at
     each level is exact; nothing here ever enumerates the full quotient.
     """
-    if not _is_prime(p) or p == 2:
+    if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
     if any(l2 <= l1 for l1, l2 in zip(levels, levels[1:])):
         raise StructuralError("levels must be strictly increasing")

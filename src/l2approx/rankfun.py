@@ -230,7 +230,9 @@ def finite_vn_rank(a: FiniteAlgebraMatrix, ops: GroupOps, *,
     that full element list.  Otherwise an `AbelianTupleOps` group is ranked
     block by block over its Wedderburn decomposition (`_wedderburn_rank`),
     and any other group is materialized over the subgroup generated by the
-    support, which yields the same normalized value.
+    support, which yields the same normalized value.  On an abelian group
+    the cost follows |Q|, not the order of the subgroup the support
+    generates, since every character of Q is visited.
     """
     if a.rows == 0 or a.cols == 0:
         return Fraction(0)

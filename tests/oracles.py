@@ -26,7 +26,7 @@ from l2approx.exactalg import (FieldElement, FieldMismatchError, InvariantError,
                                ScaledMatrix, StructuralError)
 from l2approx.foxhomology import boundary_stack, fox_derivative
 from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
-                                IDENTITY_WORD)
+                                IDENTITY_WORD, Word)
 from l2approx.repweights import RepAssignment, evaluate, validate_weight, weight_dim
 
 
@@ -399,9 +399,13 @@ def dense_regular_rank(a, ops, elements, center=None, chi=None) -> Fraction:
 # group-algebra constructions the axiom tests assemble matrices with
 # ---------------------------------------------------------------------------
 
+def word_inverse(w: Word) -> Word:
+    return Word(tuple((i, -e) for i, e in reversed(w.letters)))
+
+
 def ga_star(x: GroupAlgebraElement) -> GroupAlgebraElement:
     """Formal adjoint: invert every word, keep coefficients."""
-    return GroupAlgebraElement.from_terms(x.field, ((w.inverse(), c) for w, c in x.terms))
+    return GroupAlgebraElement.from_terms(x.field, ((word_inverse(w), c) for w, c in x.terms))
 
 
 def ga_matrix_star(m: GroupAlgebraMatrix) -> GroupAlgebraMatrix:

@@ -201,18 +201,28 @@ class TestIrreducibility:
             _certify_irreducible((F(-1, 4), F(0), F(1)), "t")  # x^2 - 1/4, roots +-1/2
         _certify_irreducible((F(-1, 2), F(0), F(1)), "t")  # x^2 - 1/2 is irreducible
 
+    def test_unusable_primes_give_no_pattern(self):
+        from l2approx.modp import factor_degrees
+        assert factor_degrees([1, 1, 1, 1, 3], 3) is None  # p divides the leading coefficient
+        assert factor_degrees([1, 1, 1, 1, 3], 5) == [4]
+        assert factor_degrees([1, 0, 2, 0, 1], 3) is None  # (x^2+1)^2 is not squarefree
+
+    def test_prime_dividing_the_leading_coefficient_skipped(self):
+        # integer form 3x^4 + x^3 + x^2 + x + 1: p = 3 is skipped, p = 5 certifies
+        _certify_irreducible((F(1, 3), F(1, 3), F(1, 3), F(1, 3), F(1)), "t")
+
     def test_factor_degrees_match_sympy(self):
         # the mod-p distinct-degree routine against sympy's factorization
         import random
         import sympy as sp
-        from l2approx.census import _factor_degrees_mod_p
+        from l2approx.modp import factor_degrees
         x = sp.symbols("x")
         rng = random.Random(99)
         for _ in range(30):
             deg = rng.randint(2, 5)
             ipoly = [rng.randint(-6, 6) for _ in range(deg)] + [1]
             for p in (3, 5, 7, 11):
-                got = _factor_degrees_mod_p(ipoly, p)
+                got = factor_degrees(ipoly, p)
                 if got is None:
                     continue  # prime skipped (not squarefree mod p)
                 poly = sp.Poly(sum(c * x ** k for k, c in enumerate(ipoly)), x, modulus=p)

@@ -110,6 +110,12 @@ class TestConfigFile:
         assert cfg.mode == "limit"
         assert cfg.degree == 1
 
+    def test_empty_flag_keeps_config_value(self, tmp_path):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("mode=homology\nentry=figure-eight\nweights=2:4:2\n")
+        cfg = config_from_args(["--config", str(cfgfile), "--entry", ""])
+        assert cfg.entry == "figure-eight"
+
     def test_config_only_run(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"
         out = tmp_path / "cfg.csv"
