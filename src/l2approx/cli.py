@@ -90,6 +90,9 @@ class ExperimentConfig:
 
 # field name -> resolved type (str or Optional[int])
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+# field name -> the values its flag accepts, for the fields that restrict them
+_FIELD_CHOICES = {f.name: f.metadata["choices"] for f in dc_fields(ExperimentConfig)
+                  if "choices" in f.metadata}
 
 
 def parse_config_file(path: str) -> ExperimentConfig:
@@ -110,6 +113,9 @@ def parse_config_file(path: str) -> ExperimentConfig:
                 value = int(value)
             except ValueError:
                 raise ConfigError(f"config key {key!r} must be an integer, got {value!r}") from None
+        if key in _FIELD_CHOICES and value not in _FIELD_CHOICES[key]:
+            raise ConfigError(f"config key {key!r} must be one of "
+                              f"{', '.join(map(str, _FIELD_CHOICES[key]))}, got {value!r}")
         setattr(cfg, key, value)
     return cfg
 

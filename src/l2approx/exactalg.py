@@ -1,10 +1,12 @@
 """Exact arithmetic over Q and number fields Q(alpha), plus exact matrix rank.
 
 Everything here is exact.  A `FieldElement` holds `Fraction` coordinates in
-the power basis of Q(alpha), reduced modulo a monic minimal polynomial.  The
-one matrix type, `ScaledMatrix`, stores every entry as a vector of Python
-ints over one common denominator; products use an integer power table, and
-`embed` turns a matrix into integer rows over Q for the fraction-free
+the power basis of Q(alpha); its products reduce modulo the monic minimal
+polynomial directly.  The one matrix type, `ScaledMatrix`, stores every entry
+as a vector of Python ints over one common denominator.  Integer coordinate
+vectors multiply by `NumberField.int_mul`, the only reader of the field's one
+integer reduction table, and `embed`, from multiplication matrices built by
+`int_mul`, turns a matrix into integer rows over Q for the fraction-free
 elimination kernel `rank_rows` and the exact zero test `product_is_zero`.
 `_pack` and `_unpack` hold a column of ints as one big int in balanced slots
 (Kronecker substitution), so convolutions and sums of columns run as big-int
@@ -64,23 +66,16 @@ class NumberField:
         return len(self.minpoly) - 1
 
     @cached_property
-    def _power_table(self) -> tuple[tuple[Fraction, ...], ...]:
-        # reduced coefficient vectors of alpha^d, ..., alpha^(2d-2)
-        d = self.degree
-        base = tuple(-c for c in self.minpoly[:d])  # alpha^d
-        table = [base]
-        for _ in range(d - 2):
-            prev = table[-1]
-            shifted = [Fraction(0)] + list(prev[: d - 1])
-            top = prev[d - 1]
-            table.append(tuple(shifted[k] + top * base[k] for k in range(d)))
-        return tuple(table)
-
-    @cached_property
     def _int_table(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        # (t, t * the rows of _power_table that products reach), with t the
-        # least denominator making them integral: 1 for an integral minpoly
-        rows = self._power_table[:self.degree - 1]
+        # (t, t * the reduced coordinates of alpha^d, ..., alpha^(2d-2)), with
+        # t the least denominator making them integral: 1 for an integral minpoly
+        d = self.degree
+        power, rows = [0] * (d - 1) + [1], []  # alpha^(d-1)
+        for _ in range(d - 1):
+            # times alpha: shift up, then replace alpha^d by minus the rest of minpoly
+            top = power[-1]
+            power = [(power[k - 1] if k else 0) - top * self.minpoly[k] for k in range(d)]
+            rows.append(power)
         t = math.lcm(1, *(c.denominator for row in rows for c in row))
         return t, tuple(tuple(int(c * t) for c in row) for row in rows)
 
@@ -88,24 +83,6 @@ class NumberField:
     def int_scale(self) -> int:
         """The factor t that `int_mul` and `ScaledMatrix.embed` multiply in."""
         return self._int_table[0]
-
-    def int_reduce(self, conv: Sequence[int]) -> tuple[int, ...]:
-        """t times the element with power-basis coordinates `conv`, a vector
-        of 2d-1 ints as a product convolution leaves it, t = int_scale.
-
-        t clears the denominators of a rational minimal polynomial, so the
-        result stays integral; the caller carries t in its denominator.
-        """
-        d = len(conv) // 2 + 1
-        t, table = self._int_table
-        out = list(conv[:d]) if t == 1 else [t * x for x in conv[:d]]
-        for k in range(d - 1):
-            x = conv[d + k]
-            if x:
-                row = table[k]
-                for j in range(d):
-                    out[j] += x * row[j]
-        return tuple(out)
 
     @cached_property
     def int_mul_bound(self) -> int:
@@ -115,8 +92,10 @@ class NumberField:
         return max([t, *(sum(map(abs, row)) for row in table)])
 
     def int_mul(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-        """t * u * v for integer power-basis vectors u and v (see int_reduce).
+        """t * u * v for integer power-basis vectors u and v, t = int_scale.
 
+        t clears the denominators of a rational minimal polynomial, so the
+        result stays integral; the caller carries t in its denominator.
         Only ring operations on the coordinates, so it works unchanged on
         packed coordinates (see `_pack`), a polynomial in Y = 2^W each."""
         d = len(u)
@@ -128,24 +107,21 @@ class NumberField:
                 for j, y in enumerate(v):
                     if y:
                         conv[i + j] += x * y
-        return self.int_reduce(conv)
+        t, table = self._int_table
+        out = conv[:d] if t == 1 else [t * x for x in conv[:d]]
+        for x, row in zip(conv[d:], table):
+            if x:
+                for j in range(d):
+                    out[j] += x * row[j]
+        return tuple(out)
 
     @cached_property
     def _mult_basis(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         # per power alpha^m, the nonzero (l, k, value) of t times its
-        # multiplication matrix: column k holds the coordinates of alpha^(m+k)
-        d = self.degree
-        t, table = self._int_table
-        out = []
-        for m in range(d):
-            entries = []
-            for k in range(d):
-                if m + k < d:
-                    entries.append((m + k, k, t))
-                else:
-                    entries.extend((l, k, x) for l, x in enumerate(table[m + k - d]) if x)
-            out.append(tuple(entries))
-        return tuple(out)
+        # multiplication matrix: column k is int_mul(alpha^m, alpha^k)
+        unit = [tuple(int(i == m) for i in range(self.degree)) for m in range(self.degree)]
+        return tuple(tuple((l, k, x) for k, e in enumerate(unit)
+                           for l, x in enumerate(self.int_mul(u, e)) if x) for u in unit)
 
     def element(self, coeffs: Sequence[Coeffish]) -> "FieldElement":
         cs = [as_fraction(c) for c in coeffs]
@@ -178,20 +154,6 @@ class NumberField:
     @cached_property
     def one(self) -> "FieldElement":
         return self.element([1])
-
-    def _reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-        d = self.degree
-        if len(coeffs) <= d:
-            return tuple(coeffs + [Fraction(0)] * (d - len(coeffs)))
-        out = list(coeffs[:d])
-        table = self._power_table
-        for k in range(d, len(coeffs)):
-            c = coeffs[k]
-            if c:
-                red = table[k - d]
-                for j in range(d):
-                    out[j] += c * red[j]
-        return tuple(out)
 
 
 QQ = NumberField((Fraction(0), Fraction(1)))
@@ -232,7 +194,14 @@ class FieldElement:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        return FieldElement(self.field, self.field._reduce(conv))
+        # clear x^k, k >= d, from the top down: subtract c * x^(k-d) * minpoly
+        minpoly = self.field.minpoly
+        for k in range(2 * d - 2, d - 1, -1):
+            c = conv[k]
+            if c:
+                for j in range(d):
+                    conv[k - d + j] -= c * minpoly[j]
+        return FieldElement(self.field, tuple(conv[:d]))
 
     def __repr__(self) -> str:
         if not self:

@@ -4,8 +4,9 @@ Nothing here shares code with the library's rank or representation paths:
 ranks come from plain Gaussian elimination over Fractions or from modular
 elimination, companion embeddings from an independent polynomial reduction,
 symmetric powers from sympy's symbolic expansion or from `FieldElement`
-arithmetic on Fractions (the library's former implementation), slopes from
-numpy.  These are the second route of every dual-route check.  Matrices here
+arithmetic on Fractions (the library's former implementation; its products
+reduce by the minimal polynomial and read none of `int_mul`'s table), slopes
+from numpy.  These are the second route of every dual-route check.  Matrices here
 are `DenseMatrix`es of `FieldElement`s; `dense` views a library
 `ScaledMatrix` that way and `scaled` converts back.  The group-algebra
 block and adjoint constructions, the Fox identity check and the coinvariant
@@ -230,7 +231,7 @@ def loglog_slope_oracle(scales: list[int], errors: list[Fraction]) -> float:
 
 def minpoly_reduce(coeffs: list[Fraction], minpoly: list[Fraction]) -> list[Fraction]:
     """Reduce a polynomial modulo a monic minimal polynomial (independent of
-    the library's power-table reduction)."""
+    the library's integer reduction table)."""
     coeffs = list(coeffs)
     d = len(minpoly) - 1
     for k in range(len(coeffs) - 1, d - 1, -1):

@@ -142,6 +142,24 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.strip() == "error: ConfigError: config key 'p' must be an integer, got 'three'"
 
+    @pytest.mark.parametrize("lines, message", [
+        (["mode = limit", "entry = sanov-f2", "weights = 1:4", "degree = 7"],
+         "config key 'degree' must be one of 0, 1, 2, got 7"),
+        (["mode = harris", "p = 3", "levels = 1:2", "element = Random", "seed = 5"],
+         "config key 'element' must be one of unipotent, diagonal, random, got 'Random'"),
+        (["mode = harris", "p = 3", "levels = 1:2", "element = Random"],
+         "config key 'element' must be one of unipotent, diagonal, random, got 'Random'")],
+        ids=["degree", "element-with-seed", "element"])
+    def test_values_outside_the_choices_rejected(self, tmp_path, capsys, lines, message):
+        cfgfile = tmp_path / "exp.cfg"
+        out = tmp_path / "x.csv"
+        cfgfile.write_text("".join(line + "\n" for line in lines + [f"out = {out}"]))
+        assert main(["--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: ConfigError: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestErrors:
     def test_unknown_entry_exits_nonzero_with_one_line_error(self, tmp_path, capsys):

@@ -17,6 +17,10 @@ from oracles import (block_diag, clear_denominators, companion_rows, dense,
 QW = NumberField((F(1), F(-1), F(1)))  # w^2 = w - 1
 QI = NumberField((F(1), F(0), F(1)))   # i^2 = -1
 QC = NumberField((F(-2), F(0), F(0), F(1)))  # c^3 = 2
+QH = NumberField((F(-1, 2), F(0), F(1)))              # h^2 = 1/2
+QR = NumberField((F(-1, 2), F(1, 3), F(0), F(1)))     # r^3 = -r/3 + 1/2
+QS = NumberField((F(-1), F(-2), F(1), F(1)))          # s^3 = -s^2 + 2s + 1
+QT = NumberField((F(1, 3), F(0), F(-1, 2), F(1)))     # t^3 = t^2/2 - 1/3
 MERSENNE_61 = 2 ** 61 - 1
 
 
@@ -47,6 +51,22 @@ class TestFieldElement:
             expected = minpoly_reduce(prod, list(QW.minpoly))
             got = QW.element(a) * QW.element(b)
             assert list(got.coeffs) == expected
+
+    @pytest.mark.parametrize("field", (QC, QH, QR, QS, QT), ids=lambda f: str(f.minpoly))
+    def test_rational_products_match_independent_polynomial_oracle(self, field):
+        # QS and QT have a nonzero x^2 coefficient, so reducing x^4 needs
+        # the x^3 it leaves behind reduced again
+        rng = random.Random(17)
+        d = field.degree
+        for _ in range(25):
+            a, b = ([F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)]
+                    for _ in range(2))
+            prod = [F(0)] * (2 * d - 1)
+            for i, ai in enumerate(a):
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+            got = field.element(a) * field.element(b)
+            assert list(got.coeffs) == minpoly_reduce(prod, list(field.minpoly))
 
     def test_mixed_field_rejected(self):
         with pytest.raises(FieldMismatchError):

@@ -3,7 +3,8 @@
 Every symmetric power, weight module, evaluated matrix and J*D test built in
 integer coordinates is compared entry by entry with the Fraction-coordinate
 references in `oracles.py`, over Q with non-integral entries, Q(w), the cubic
-field c^3 = 2 and fields whose minimal polynomial is not integral.
+field c^3 = 2, fields whose minimal polynomial is not integral and cubic
+fields whose minimal polynomial has a nonzero x^2 coefficient.
 """
 
 import math
@@ -30,6 +31,8 @@ QW = NumberField((F(1), F(-1), F(1)))                # w^2 = w - 1
 QC = NumberField((F(-2), F(0), F(0), F(1)))           # c^3 = 2
 QH = NumberField((F(-1, 2), F(0), F(1)))              # h^2 = 1/2
 QR = NumberField((F(-1, 2), F(1, 3), F(0), F(1)))     # r^3 = -r/3 + 1/2
+QS = NumberField((F(-1), F(-2), F(1), F(1)))          # s^3 = -s^2 + 2s + 1
+QT = NumberField((F(1, 3), F(0), F(-1, 2), F(1)))     # t^3 = t^2/2 - 1/3
 FIELDS = (QQ, QW, QC, QH, QR)
 
 
@@ -144,7 +147,7 @@ def test_coinvariants_match_the_dual_action_reference(fig8, whitehead, c2, z_ent
             assert coinvariants_dim(rep, lam) == d - exact_matrix_rank_oracle(dual)
 
 
-@pytest.mark.parametrize("field", (QW, QH, QR), ids=lambda f: str(f.minpoly))
+@pytest.mark.parametrize("field", (QW, QH, QR, QS, QT), ids=lambda f: str(f.minpoly))
 def test_int_mul_matches_field_product(field):
     rng = random.Random(113)
     for _ in range(20):
@@ -155,7 +158,7 @@ def test_int_mul_matches_field_product(field):
         assert tuple(F(x, scale) for x in got) == (e * f).coeffs
 
 
-@pytest.mark.parametrize("field", (QW, QC, QH, QR), ids=lambda f: str(f.minpoly))
+@pytest.mark.parametrize("field", (QW, QC, QH, QR, QS, QT), ids=lambda f: str(f.minpoly))
 def test_embedding_matches_independent_companion_rows(field):
     rng = random.Random(127)
     m = random_matrix(field, rng, 2, 3)
