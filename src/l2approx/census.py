@@ -23,7 +23,8 @@ Representation file::
     image: a 1 : 1 ; 1 ; 0 ; 1   # generator, factor index (1-based), then the
                                  # four entries a;b;c;d, each a comma-separated
                                  # rational coefficient vector in the power
-                                 # basis (missing high coefficients are zero)
+                                 # basis (missing high coefficients are zero);
+                                 # one line per generator and factor
 
 Validation on load: relators freely reduce, every generator image has
 determinant exactly 1, every relator evaluates to +-Identity per factor, all
@@ -103,6 +104,15 @@ def _key_value(line: str, path: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
+def _rational(text: str, path: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise CensusFormatError(f"{path}: zero denominator in {text!r}") from None
+    except ValueError:
+        raise CensusFormatError(f"{path}: {text!r} is not a rational") from None
+
+
 def parse_presentation(text: str, path: str = "<presentation>") -> dict:
     """Parse a presentation file into a metadata dict (relators still raw)."""
     meta = {"name": None, "generators": None, "relators": [], "central": None,
@@ -132,13 +142,15 @@ def parse_presentation(text: str, path: str = "<presentation>") -> dict:
             meta["aspherical"] = value == "true"
         elif key == "cusps":
             meta["cusps"] = int(value)
+            if meta["cusps"] < 0:
+                raise CensusFormatError(f"{path}: cusps must be >= 0, got {value}")
         elif key == "euler":
             meta["euler"] = int(value)
         elif key == "targets":
             parts = value.split()
             if len(parts) != 3:
                 raise CensusFormatError(f"{path}: targets needs three rationals")
-            meta["targets"] = tuple(Fraction(p) for p in parts)
+            meta["targets"] = tuple(_rational(p, path) for p in parts)
         elif key == "provenance":
             meta["provenance"] = value
         else:
@@ -167,7 +179,7 @@ def parse_representation(text: str, generator_names: Sequence[str],
     for line in _content_lines(text):
         key, value = _key_value(line, path)
         if key == "field":
-            coeffs = tuple(Fraction(p) for p in value.split())
+            coeffs = tuple(_rational(p, path) for p in value.split())
             field = NumberField(coeffs)
             _certify_irreducible(field.minpoly, path)
         elif key == "factors":
@@ -184,18 +196,24 @@ def parse_representation(text: str, generator_names: Sequence[str],
             gen, fj = parts[0], int(parts[1])
             if gen not in generator_names:
                 raise CensusFormatError(f"{path}: image for unknown generator {gen!r}")
+            if (gen, fj) in images:
+                raise CensusFormatError(f"{path}: second image for generator {gen!r} factor {fj}")
             cells = [c.strip() for c in body.split(";")]
             if len(cells) != 4:
                 raise CensusFormatError(f"{path}: image needs exactly four entries a;b;c;d")
             vals = []
             for cell in cells:
-                coeffs = [Fraction(c.strip()) for c in cell.split(",")] if cell else [Fraction(0)]
+                coeffs = [_rational(c.strip(), path) for c in cell.split(",")] if cell else [0]
                 vals.append(field.element(coeffs))
             images[(gen, fj)] = ScaledMatrix.from_rows(field, [vals[:2], vals[2:]])
         else:
             raise CensusFormatError(f"{path}: unknown key {key!r}")
     if field is None:
         raise CensusFormatError(f"{path}: missing field line")
+    for gen, fj in images:
+        if not 1 <= fj <= factors:
+            raise CensusFormatError(
+                f"{path}: image for generator {gen!r} names factor {fj}, outside 1..{factors}")
     table: list[list[ScaledMatrix]] = []
     for gen in generator_names:
         row = []

@@ -204,7 +204,8 @@ def _csv_row(mode: str, entry: str, lam: str, min_lambda, dim_w, value,
 _TERM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)?(?:\s*\*\s*)?([A-Za-z]+)?$")
 
 
-def _parse_algebra_entry(text: str, names: Sequence[str], field) -> GroupAlgebraElement:
+def _parse_algebra_entry(text: str, names: Sequence[str], field,
+                         path: str) -> GroupAlgebraElement:
     """Entry grammar: terms joined by + or -, each term RATIONAL, WORD,
     RATIONAL*WORD, or 1 for the identity word."""
     text = text.strip()
@@ -215,8 +216,11 @@ def _parse_algebra_entry(text: str, names: Sequence[str], field) -> GroupAlgebra
         sgn = -1 if chunk.startswith("-") else 1
         m = _TERM_RE.match(chunk.lstrip("+-"))
         if not m or (m.group(1) is None and m.group(2) is None):
-            raise ConfigError(f"cannot parse matrix term {chunk!r}")
-        coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+            raise ConfigError(f"matrix file {path}: cannot parse matrix term {chunk!r}")
+        try:
+            coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        except ZeroDivisionError:
+            raise ConfigError(f"matrix file {path}: zero denominator in term {chunk!r}") from None
         word = word_from_string(m.group(2), names) if m.group(2) else IDENTITY_WORD
         terms.append((word, sgn * coeff))
     return GroupAlgebraElement.from_terms(field, terms)
@@ -229,7 +233,7 @@ def parse_matrix_file(path: str, names: Sequence[str], field) -> GroupAlgebraMat
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        rows.append([_parse_algebra_entry(cell, names, field) for cell in line.split(";")])
+        rows.append([_parse_algebra_entry(cell, names, field, path) for cell in line.split(";")])
     if not rows:
         raise ConfigError(f"matrix file {path} contains no rows")
     return GroupAlgebraMatrix.from_rows(field, rows)

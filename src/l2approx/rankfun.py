@@ -7,15 +7,16 @@ Four families live here:
 * twisted finite-group rank relative to a central character, and
 * Lueck ranks through finite quotient maps.
 
-All values are exact `Fraction`s.  Over an abelian group Z/m_1 x ... x Z/m_g
-the von Neumann rank is summed over the rational Wedderburn decomposition
-Q[Q] = (+)_C Q(zeta_|C|), one small block per cyclic subgroup C of the dual
-group.  Over any other group the regular representation is materialized over
-the subgroup generated by the matrix support rather than the whole quotient:
-the normalized rank is identical (the von Neumann rank of a matrix does not
-change when the group is enlarged), and this keeps deep congruence levels
-within reach.  Passing `elements=` forces the full materialization, for
-every group.
+All values are exact `Fraction`s.  A finite-group rank is the rank of `a` on
+a module of the group, and one assembler, `_module_matrix`, builds that
+matrix from the action of each group element: the regular, Wedderburn and
+twisted modules are three actions.  Over an abelian group Z/m_1 x ... x Z/m_g
+the rank sums one block per cyclic subgroup C of the dual group, from the
+rational Wedderburn decomposition Q[Q] = (+)_C Q(zeta_|C|).  Over any other
+group the regular module is built over the subgroup the support generates,
+which gives the same normalized rank; `elements=` forces the full list.  A
+twist by a central character ranks `a` times the central idempotent on the
+regular module, with no transversal.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Optional, Protocol, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Protocol, Sequence
 
 from .exactalg import (FieldElement, NumberField, QQ, ScaledMatrix, StructuralError,
                        flatten_rows, scaled_vectors)
@@ -171,55 +172,48 @@ class FiniteAlgebraMatrix:
         return out
 
 
-def _regular_rep(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequence,
-                 center: Sequence, chi: Mapping, limit: int) -> tuple[ScaledMatrix, int]:
-    """Left regular representation of `a` on the group algebra of the listed
-    elements modulo the central character chi, and the transversal size m.
+def _module_matrix(a: FiniteAlgebraMatrix, n: int, action: Callable) -> ScaledMatrix:
+    """`a` acting on an n-dimensional module: block (i, j) is the sum of
+    c * action(g) over the terms c * g of cell (i, j), where action(g) lists
+    the nonzero (row, col, int) entries of g on the module."""
+    den, vectors = scaled_vectors([c for cell in a.entries for c in cell.values()])
+    coeffs = iter(vectors)
+    out_rows, out_cols = a.rows * n, a.cols * n
+    d = a.field.degree
+    sums: dict[int, list[int]] = {}  # flat position -> coordinates, touched ones only
+    for idx, cell in enumerate(a.entries):
+        i, j = divmod(idx, a.cols)
+        base = i * n * out_cols + j * n
+        for g in cell:
+            vec = next(coeffs)
+            for row, col, y in action(g):
+                acc = sums.setdefault(base + row * out_cols + col, [0] * d)
+                for m, t in enumerate(vec):
+                    acc[m] += y * t
+    flat = [(0,) * d] * (out_rows * out_cols)
+    for at, acc in sums.items():
+        flat[at] = tuple(acc)
+    return ScaledMatrix(a.field, out_rows, out_cols, den, tuple(flat))
 
-    The basis is a transversal of Q/Z, each z in Z acting as the scalar
-    chi(z); with Z trivial this is the plain left regular representation.
-    A `MemoryCapError` refuses a list with |Q| * max(r, s) above `limit`.
-    """
+
+def _regular_rank(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequence,
+                  limit: int) -> RankValue:
+    """Rank of `a` on the group algebra of the listed elements, g sending v to
+    g * v, over the list's length; a `MemoryCapError` refuses a list with
+    |Q| * max(r, s) above `limit`."""
     size = len(elements) * max(a.rows, a.cols)
     if size > limit:
         raise MemoryCapError(f"|Q| * max(r, s) = {size} exceeds the cap ({limit})")
-    field = a.field
-    # coset decomposition g * z -> (transversal index, center index); g * 1
-    # needs no group multiplication, which is all of it for a trivial center
-    identity = ops.identity
-    transversal: list = []
-    coset: dict = {}
-    for g in elements:
-        if g in coset:
-            continue
-        for zi, z in enumerate(center):
-            coset[g if z == identity else ops.mul(g, z)] = (len(transversal), zi)
-        transversal.append(g)
-    m = len(transversal)
-    if m * len(center) != len(elements):
-        raise StructuralError("central subgroup does not evenly tile the element list")
-    # every coefficient c * chi(z) in integer coordinates over one denominator,
-    # held per support element as a list indexed by center position
-    values = [chi[z] for z in center]
-    den, vectors = scaled_vectors([c * x for cell in a.entries for c in cell.values()
-                                   for x in values])
-    coeffs = iter(vectors)
-    cells = [[(g, [next(coeffs) for _ in values]) for g in cell] for cell in a.entries]
-    out_rows, out_cols = a.rows * m, a.cols * m
-    flat = [(0,) * field.degree] * (out_rows * out_cols)
+    index = {g: i for i, g in enumerate(elements)}
+    if len(index) != len(elements):
+        raise StructuralError("element list repeats an element")
     try:
-        for idx, cell in enumerate(cells):
-            i, j = divmod(idx, a.cols)
-            base = i * m * out_cols + j * m
-            for g, vecs in cell:
-                for col, t in enumerate(transversal):
-                    row, zi = coset[ops.mul(g, t)]
-                    at = base + row * out_cols + col
-                    flat[at] = tuple(x + y for x, y in zip(flat[at], vecs[zi]))
+        mat = _module_matrix(a, len(elements), lambda g: [
+            (index[ops.mul(g, v)], col, 1) for col, v in enumerate(elements)])
     except KeyError:
-        raise StructuralError("matrix support escapes the listed elements: some g * t "
+        raise StructuralError("matrix support escapes the listed elements: some g * v "
                               "with g in the support is not listed") from None
-    return ScaledMatrix(field, out_rows, out_cols, den, tuple(flat)), m
+    return Fraction(mat.rank(), len(elements))
 
 
 def finite_vn_rank(a: FiniteAlgebraMatrix, ops: GroupOps, *,
@@ -241,9 +235,7 @@ def finite_vn_rank(a: FiniteAlgebraMatrix, ops: GroupOps, *,
         if isinstance(ops, AbelianTupleOps):
             return _wedderburn_rank(a, ops.moduli, limit)
         elements = subgroup_closure(ops, a.support(), max(1, limit // max(a.rows, a.cols)))
-    mat, m = _regular_rep(a, ops, list(elements), [ops.identity], {ops.identity: a.field.one},
-                          limit)
-    return Fraction(mat.rank(), m)
+    return _regular_rank(a, ops, list(elements), limit)
 
 
 def _wedderburn_rank(a: FiniteAlgebraMatrix, moduli: Sequence[int], limit: int) -> RankValue:
@@ -270,12 +262,7 @@ def _wedderburn_rank(a: FiniteAlgebraMatrix, moduli: Sequence[int], limit: int) 
     side = _totient(big) * max(a.rows, a.cols)
     if side > limit:
         raise MemoryCapError(f"phi({big}) * max(r, s) = {side} exceeds the cap ({limit})")
-    field = a.field
-    den, vectors = scaled_vectors([c for cell in a.entries for c in cell.values()])
-    coeffs = iter(vectors)
-    cells = [[(g, next(coeffs)) for g in cell] for cell in a.entries]
     strides = [math.prod(moduli[i + 1:]) for i in range(len(moduli))]
-    zero = (0,) * field.degree
     seen = bytearray(order)
     tables: dict[int, tuple] = {}  # k -> (phi(k), powers of zeta_k)
     total = 0
@@ -293,19 +280,13 @@ def _wedderburn_rank(a: FiniteAlgebraMatrix, moduli: Sequence[int], limit: int) 
         if k not in tables:
             tables[k] = (_totient(k), _root_powers(k))
         n, powers = tables[k]
-        out_rows, out_cols = a.rows * n, a.cols * n
-        flat = [zero] * (out_rows * out_cols)
-        for cell_idx, cell in enumerate(cells):
-            i, j = divmod(cell_idx, a.cols)
-            base = i * n * out_cols + j * n
-            for g, vec in cell:
-                e = sum(w * x for w, x in zip(weights, g))
-                # column c of zeta_k^e holds the coordinates of zeta_k^(e + c)
-                for c in range(n):
-                    for l, y in powers[(e + c) % k]:
-                        at = base + l * out_cols + c
-                        flat[at] = tuple(x + y * t for x, t in zip(flat[at], vec))
-        total += ScaledMatrix(field, out_rows, out_cols, den, tuple(flat)).rank()
+
+        def action(g):
+            # column c of zeta_k^e holds the coordinates of zeta_k^(e + c)
+            e = sum(w * x for w, x in zip(weights, g))
+            return [(l, c, y) for c in range(n) for l, y in powers[(e + c) % k]]
+
+        total += _module_matrix(a, n, action).rank()
     return Fraction(total, order)
 
 
@@ -315,8 +296,9 @@ def twisted_finite_rank(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequenc
 
     `center` lists a central subgroup Z of the group whose elements are
     `elements`; `chi` maps each z in Z to a root of unity in a's field.  The
-    quotient algebra has a transversal of Q/Z as basis, with each z acting as
-    the scalar chi(z); the returned value is rank / |Q/Z|.
+    quotient, where each z acts as chi(z), is the summand of the regular module
+    cut out by the central idempotent sum_z chi(z^-1) z / |Z|, of dimension
+    |Q/Z|; the value is the rank of a times that idempotent over |Q/Z|.
     """
     field = a.field
     elements = list(elements)
@@ -330,20 +312,19 @@ def twisted_finite_rank(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequenc
         for g in elements:
             if ops.mul(z, g) != ops.mul(g, z):
                 raise ValueError("designated subgroup is not central")
+    if len(set(center)) != len(center) or any(ops.mul(g, z) not in elem_set
+                                              for z in center for g in elements):
+        raise StructuralError("central subgroup does not evenly tile the element list")
     chi_e = {z: field.coerce(chi[z]) for z in center}
-    _check_character(ops, center, chi_e, field)
-    mat, m = _regular_rep(a, ops, elements, center, chi_e, memory_cap())
-    return Fraction(mat.rank(), m)
-
-
-def _check_character(ops: GroupOps, center: Sequence, chi: Mapping, field: NumberField):
-    one = field.one
-    if chi[ops.identity] != one:
+    if chi_e[ops.identity] != field.one:
         raise ValueError("character must send the identity to 1")
-    for z in center:
-        for w in center:
-            if chi[ops.mul(z, w)] != chi[z] * chi[w]:
-                raise ValueError("character is not multiplicative on the central subgroup")
+    if any(chi_e[ops.mul(z, w)] != chi_e[z] * chi_e[w] for z in center for w in center):
+        raise ValueError("character is not multiplicative on the central subgroup")
+    twist = [(z, chi_e[ops.inv(z)]) for z in center]
+    b = FiniteAlgebraMatrix(field, a.rows, a.cols, tuple(
+        sum_terms(field, ((ops.mul(g, z), c * x) for g, c in cell.items() for z, x in twist))
+        for cell in a.entries))
+    return _regular_rank(b, ops, elements, memory_cap()) * len(center)
 
 
 def characters_of_cyclic(ops: GroupOps, center: Sequence, zeta: FieldElement) -> list[dict]:

@@ -115,6 +115,43 @@ class TestLoadEntry:
         with pytest.raises(Exception):
             load_entry_text(read("z_unipotent", "pres"), bad)
 
+    @pytest.mark.parametrize("factor", ["0", "2"], ids=["zero", "above-factors"])
+    def test_image_factor_outside_the_declared_factors_rejected(self, factor):
+        rep = read("z_unipotent", "rep") + f"image: t {factor} : 1 ; 1 ; 0 ; 1\n"
+        with pytest.raises(CensusFormatError,
+                           match=f"^e.rep: image for generator 't' names factor {factor}, "
+                                 r"outside 1\.\.1$"):
+            load_entry_text(read("z_unipotent", "pres"), rep, rep_path="e.rep")
+
+    def test_factors_line_may_follow_the_image_lines(self):
+        rep = ("field: 0 1\nimage: t 1 : 1 ; 1 ; 0 ; 1\nimage: t 2 : 1 ; 2 ; 0 ; 1\n"
+               "factors: 2\n")
+        entry = load_entry_text(read("z_unipotent", "pres"), rep)
+        assert entry.rep.n == 2
+
+    def test_second_image_for_one_generator_and_factor_rejected(self):
+        rep = read("z_unipotent", "rep") + "image: t 1 : 1 ; 2 ; 0 ; 1\n"
+        with pytest.raises(CensusFormatError,
+                           match="^e.rep: second image for generator 't' factor 1$"):
+            load_entry_text(read("z_unipotent", "pres"), rep, rep_path="e.rep")
+
+    def test_negative_cusp_count_rejected(self):
+        pres = read("figure_eight", "pres").replace("cusps: 1", "cusps: -3")
+        with pytest.raises(CensusFormatError, match="^e.pres: cusps must be >= 0, got -3$"):
+            load_entry_text(pres, read("figure_eight", "rep"), pres_path="e.pres")
+
+    @pytest.mark.parametrize("pres_old, pres_new, rep_old, rep_new", [
+        ("targets: 0 0 0", "targets: 0 1/0 0", "", ""),
+        ("", "", "field: 0 1", "field: 1/0 1"),
+        ("", "", "image: t 1 : 1 ; 1 ; 0 ; 1", "image: t 1 : 1 ; 1/0 ; 0 ; 1")],
+        ids=["targets", "field", "image"])
+    def test_zero_denominator_rejected(self, pres_old, pres_new, rep_old, rep_new):
+        pres = read("z_unipotent", "pres").replace(pres_old, pres_new)
+        rep = read("z_unipotent", "rep").replace(rep_old, rep_new)
+        path = "e.pres" if pres_new else "e.rep"
+        with pytest.raises(CensusFormatError, match=f"^{path}: zero denominator in '1/0'$"):
+            load_entry_text(pres, rep, pres_path="e.pres", rep_path="e.rep")
+
     def test_central_involution_must_be_a_generator(self):
         pres = read("c2_central", "pres").replace("central-involution: g",
                                                   "central-involution: h")

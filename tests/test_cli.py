@@ -210,6 +210,27 @@ class TestErrors:
         assert not (tmp_path / "x.csv").exists()
 
 
+    @pytest.mark.parametrize("pres, rep, matrix, bad", [
+        ("targets: 0 1/0 0\n", "", "t - 1", "e.pres"),
+        ("", "field: 1/0 1\n", "t - 1", "e.rep"),
+        ("", "field: 0 1\nimage: t 1 : 1 ; 1/0 ; 0 ; 1\n", "t - 1", "e.rep"),
+        ("", "", "1/0*t - 1", "m.txt")], ids=["targets", "field", "image", "matrix-file"])
+    def test_zero_denominator_is_a_one_line_error(self, tmp_path, capsys, pres, rep, matrix,
+                                                  bad):
+        files = {"e.pres": "name: t\ngenerators: t\n" + pres,
+                 "e.rep": rep or "field: 0 1\nimage: t 1 : 1 ; 1 ; 0 ; 1\n", "m.txt": matrix}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        rc = main(["--mode", "rank", "--presentation", str(tmp_path / "e.pres"),
+                   "--representation", str(tmp_path / "e.rep"), "--weights", "1:2",
+                   "--matrix", "file", "--matrix-file", str(tmp_path / "m.txt"),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert f"{tmp_path / bad}" in err and "zero denominator" in err
+
     @pytest.mark.parametrize("extra, message", [
         (["--degree", "7"], "argument --degree: invalid choice: 7 (choose from 0, 1, 2)"),
         (["--bogus"], "unrecognized arguments: --bogus")], ids=["bad-choice", "unknown-flag"])

@@ -308,7 +308,7 @@ class TestWedderburnRank:
         def refuse(*args, **kwargs):
             raise AssertionError("the abelian path must not materialize the regular module")
 
-        monkeypatch.setattr(rankfun, "_regular_rep", refuse)
+        monkeypatch.setattr(rankfun, "_regular_rank", refuse)
         monkeypatch.setattr(rankfun, "subgroup_closure", refuse)
         ops = AbelianTupleOps((4, 4))
         a = FiniteAlgebraMatrix.from_rows(QQ, [[{(1, 0): 1, (0, 0): -1}],
@@ -404,10 +404,13 @@ class TestTwistedRank:
     @pytest.mark.parametrize("ops, elements, center", [
         (PermutationOps(4), C4, C4),
         (AbelianTupleOps((4, 2)), list(itertools.product(range(4), range(2))),
-         [(k, 0) for k in range(4)])], ids=["C4", "C4xC2"])
+         [(k, 0) for k in range(4)]),
+        (QuaternionOps(), QuaternionOps().all_elements(), QuaternionOps().center())],
+        ids=["C4", "C4xC2", "Q8"])
     def test_q_i_characters_match_dense_idempotent_projection(self, ops, elements, center):
         field, zeta = cyclotomic_field(4)
-        chars = characters_of_cyclic(ops, center, zeta)
+        # a primitive |Z|-th root of unity in Q(i): i for |Z| = 4, -1 for Q8's center
+        chars = characters_of_cyclic(ops, center, zeta if len(center) == 4 else -field.one)
         rng = random.Random(51)
         for rows, cols in ((1, 1), (1, 1), (1, 2), (2, 2), (3, 2)):
             a = random_finite_matrix(rng, field, elements, rows, cols)
@@ -426,6 +429,17 @@ class TestTwistedRank:
             twisted_finite_rank(a, ops, elements, [ops.identity], {ops.identity: 1})
         with pytest.raises(StructuralError, match="escapes the listed elements"):
             finite_vn_rank(a, ops, elements=elements)
+
+    def test_center_not_tiling_the_list_is_refused_for_a_zero_matrix(self):
+        # {1, t, t^2} is not a union of cosets of Z = {1, t^2}; the zero matrix
+        # has no support, so only the tiling check can see it
+        ops = PermutationOps(4)
+        zero = FiniteAlgebraMatrix.single(QQ, {})
+        center = [C4[0], C4[2]]
+        with pytest.raises(StructuralError, match="does not evenly tile the element list"):
+            twisted_finite_rank(zero, ops, C4[:3], center, {z: 1 for z in center})
+        with pytest.raises(StructuralError):
+            finite_vn_rank(zero, ops, elements=C4 + C4[:1])
 
     def test_non_central_subgroup_rejected(self):
         qops = QuaternionOps()
