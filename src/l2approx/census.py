@@ -75,14 +75,16 @@ class CensusEntry:
 
     def expected_dims(self, lam: Sequence[int]) -> Optional[tuple[int, int, int]]:
         """Closed-form homology dimensions for cusped-manifold entries with
-        every weight even and some weight nonzero: (0, k - d * euler, k), for
-        k cusps and module dimension d.  None when the entry carries no
-        manifold metadata, some weight is odd, or every weight is 0 (the
-        trivial module, where h0 = 1 and the closed form does not hold)."""
+        every weight even and exactly one weight nonzero: (0, k - d * euler, k),
+        for k cusps and module dimension d.  None when the entry carries no
+        manifold metadata, some weight is odd, every weight is 0 (the trivial
+        module, where h0 = 1 and the closed form does not hold), or two or more
+        weights are nonzero (where cuspidal classes can add to h1: a two-factor
+        figure-eight has h1 = 2 at (6, 6))."""
         lam = validate_weight(lam)
         if self.cusps is None or self.euler is None:
             return None
-        if any(l % 2 for l in lam) or not any(lam):
+        if any(l % 2 for l in lam) or sum(1 for l in lam if l) != 1:
             return None
         d = math.prod(l + 1 for l in lam)
         return (0, self.cusps - d * self.euler, self.cusps)
@@ -113,6 +115,13 @@ def _rational(text: str, path: str) -> Fraction:
         raise CensusFormatError(f"{path}: {text!r} is not a rational") from None
 
 
+def _integer(text: str, path: str, key: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CensusFormatError(f"{path}: {key} must be an integer, got {text!r}") from None
+
+
 def parse_presentation(text: str, path: str = "<presentation>") -> dict:
     """Parse a presentation file into a metadata dict (relators still raw)."""
     meta = {"name": None, "generators": None, "relators": [], "central": None,
@@ -141,11 +150,11 @@ def parse_presentation(text: str, path: str = "<presentation>") -> dict:
                 raise CensusFormatError(f"{path}: aspherical must be true or false")
             meta["aspherical"] = value == "true"
         elif key == "cusps":
-            meta["cusps"] = int(value)
+            meta["cusps"] = _integer(value, path, key)
             if meta["cusps"] < 0:
                 raise CensusFormatError(f"{path}: cusps must be >= 0, got {value}")
         elif key == "euler":
-            meta["euler"] = int(value)
+            meta["euler"] = _integer(value, path, key)
         elif key == "targets":
             parts = value.split()
             if len(parts) != 3:
@@ -183,7 +192,7 @@ def parse_representation(text: str, generator_names: Sequence[str],
             field = NumberField(coeffs)
             _certify_irreducible(field.minpoly, path)
         elif key == "factors":
-            factors = int(value)
+            factors = _integer(value, path, key)
             if factors < 1:
                 raise CensusFormatError(f"{path}: factors must be >= 1")
         elif key == "image":
@@ -193,7 +202,7 @@ def parse_representation(text: str, generator_names: Sequence[str],
             parts = head.split()
             if len(parts) != 2:
                 raise CensusFormatError(f"{path}: image head must be '<generator> <factor>'")
-            gen, fj = parts[0], int(parts[1])
+            gen, fj = parts[0], _integer(parts[1], path, "image factor")
             if gen not in generator_names:
                 raise CensusFormatError(f"{path}: image for unknown generator {gen!r}")
             if (gen, fj) in images:

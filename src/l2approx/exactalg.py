@@ -7,7 +7,8 @@ as a vector of Python ints over one common denominator.  Integer coordinate
 vectors multiply by `NumberField.int_mul`, the only reader of the field's one
 integer reduction table, and `embed`, from multiplication matrices built by
 `int_mul`, turns a matrix into integer rows over Q for the fraction-free
-elimination kernel `rank_rows` and the exact zero test `product_is_zero`.
+elimination kernel `pivot_columns` (its count is `rank_rows`) and the exact
+zero test `product_is_zero`.
 `_pack` and `_unpack` hold a column of ints as one big int in balanced slots
 (Kronecker substitution), so convolutions and sums of columns run as big-int
 arithmetic.  Nothing divides in Q(alpha), and no floating point is used on any rank path.
@@ -284,7 +285,16 @@ class ScaledMatrix:
 
 
 def rank_rows(rows: list[list[int]]) -> int:
-    """Exact rank over Q of a matrix given as integer rows.
+    """Exact rank over Q of a matrix given as integer rows: the number of
+    `pivot_columns`, which consumes the rows."""
+    return len(pivot_columns(rows))
+
+
+def pivot_columns(rows: list[list[int]]) -> list[int]:
+    """The pivot columns of an integer matrix, in increasing order: column c
+    is listed iff it is not in the span of columns 0..c-1 over Q, so there
+    are rank-many, and those inside any leading block of columns are that
+    block's first independent columns.
 
     Fraction-free elimination: a row with a nonzero c in the pivot column
     becomes (p/g)*row - (c/g)*pivot_row, where p is the pivot and
@@ -298,8 +308,9 @@ def rank_rows(rows: list[list[int]]) -> int:
     """
     a = rows
     nrows = len(a)
+    pivots: list[int] = []
     if nrows == 0:
-        return 0
+        return pivots
     rank = 0
     for col in range(len(a[0])):
         piv, best = None, 0
@@ -324,10 +335,11 @@ def rank_rows(rows: list[list[int]]) -> int:
             tail = [s * x - t * y for x, y in zip(a[i][col + 1:], pivot_tail)]
             content = math.gcd(*tail)
             a[i] = head + ([x // content for x in tail] if content > 1 else tail)
+        pivots.append(col)
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return pivots
 
 
 # Packed columns (Kronecker substitution): a vector of ints v_0..v_(n-1) is

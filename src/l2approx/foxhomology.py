@@ -20,6 +20,16 @@ too large.  The Euler identity h0 - h1 + h2 = d*(1 - g + r) follows from the
 three formulas above whatever the two ranks are, so it cannot catch a wrong
 rank.  A rank that is too small passes all three; the tests cross-check the
 ranks against independent oracles.
+
+The checked identity J*D = 0 also shrinks the rank of J.  Write J's column
+blocks E_1..E_g and F_j = rho(x_j) - Id, so that sum_j E_j*F_j = 0.  Then
+E_g*F_g = -sum_{j<g} E_j*F_j: E_g maps the column span of F_g into the span
+of the other blocks.  If P is a maximal independent set of rows of F_g, the
+unit vectors e_i with i outside P span a complement of that column span.  So
+rk J is the rank of the blocks E_1..E_(g-1) plus the columns of E_g outside
+P, which drops rk F_g columns and is exact over Q.  One elimination of D's
+transpose, with F_g's rows first, gives both rk D and P (`pivot_columns`).
+Any block could be the reduced one; the last generator's is chosen for speed.
 """
 
 from __future__ import annotations
@@ -27,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactalg import InvariantError, ScaledMatrix, product_is_zero, rank_rows
+from .exactalg import (InvariantError, ScaledMatrix, pivot_columns, product_is_zero,
+                       rank_rows)
 from .groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
                         IDENTITY_WORD, Word)
 from .repweights import RepAssignment, WeightVector, evaluate, validate_weight, weight_dim
@@ -100,6 +111,23 @@ class HomologyReport:
         return (self.h0, self.h1, self.h2)
 
 
+def _boundary_ranks(j_rows: list[list[int]], d_rows: list[list[int]], g: int
+                    ) -> tuple[int, int]:
+    """(rank J, rank D) over Q of the embedded complex, whose product J*D is
+    already checked to be zero; J is ranked without the columns of the last
+    generator's block that lie in the row rank profile of its D block (see
+    the module docstring).  The rows may be consumed."""
+    if not j_rows:
+        return 0, rank_rows(d_rows)
+    n = len(d_rows[0])  # width of one generator block
+    last = (g - 1) * n
+    # rows of D's transpose are D's columns, with the last block's entries first
+    pivots = pivot_columns([list(col) for col in zip(*d_rows[last:], *d_rows[:last])])
+    profile = {c for c in pivots if c < n}
+    free = [last + i for i in range(n) if i not in profile]
+    return rank_rows([row[:last] + [row[k] for k in free] for row in j_rows]), len(pivots)
+
+
 def homology_dims(p: GroupPresentation, rep: RepAssignment, lam: Sequence[int]) -> HomologyReport:
     """Twisted homology dimensions in degrees 0..2 from two exact ranks."""
     lam = rep.check_admissible(lam)
@@ -109,8 +137,7 @@ def homology_dims(p: GroupPresentation, rep: RepAssignment, lam: Sequence[int]) 
         # trivial group: W itself in degree 0
         return HomologyReport(lam, d, d, 0, 0, 0, 0)
     _, _, j_rows, d_rows = presentation_complex(p, rep, lam)
-    rank_d = rank_rows(d_rows) // rep.field.degree
-    rank_j = rank_rows(j_rows) // rep.field.degree
+    rank_j, rank_d = (rank // rep.field.degree for rank in _boundary_ranks(j_rows, d_rows, g))
     h0 = d - rank_d
     h1 = g * d - rank_d - rank_j
     h2 = r * d - rank_j

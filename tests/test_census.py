@@ -140,6 +140,20 @@ class TestLoadEntry:
         with pytest.raises(CensusFormatError, match="^e.pres: cusps must be >= 0, got -3$"):
             load_entry_text(pres, read("figure_eight", "rep"), pres_path="e.pres")
 
+    @pytest.mark.parametrize("stem, suffix, old, new, key, bad", [
+        ("figure_eight", "pres", "cusps: 1", "cusps: one", "cusps", "one"),
+        ("figure_eight", "pres", "euler: 0", "euler: 0.5", "euler", "0.5"),
+        ("z_unipotent", "rep", "factors: 1", "factors: two", "factors", "two"),
+        ("z_unipotent", "rep", "image: t 1", "image: t x", "image factor", "x")],
+        ids=["cusps", "euler", "factors", "image-factor"])
+    def test_non_integer_names_the_file_and_key(self, stem, suffix, old, new, key, bad):
+        texts = {"pres": read(stem, "pres"), "rep": read(stem, "rep")}
+        assert old in texts[suffix]
+        texts[suffix] = texts[suffix].replace(old, new)
+        with pytest.raises(CensusFormatError,
+                           match=f"^e.{suffix}: {key} must be an integer, got '{bad}'$"):
+            load_entry_text(texts["pres"], texts["rep"], pres_path="e.pres", rep_path="e.rep")
+
     @pytest.mark.parametrize("pres_old, pres_new, rep_old, rep_new", [
         ("targets: 0 0 0", "targets: 0 1/0 0", "", ""),
         ("", "", "field: 0 1", "field: 1/0 1"),
@@ -266,3 +280,21 @@ class TestIrreducibility:
                 expected = sorted(
                     f.degree() for f, mult in poly.factor_list()[1] for _ in range(mult))
                 assert sorted(got) == expected
+
+
+class TestExpectedDims:
+    def test_one_factor_cusped_entries(self, fig8, whitehead):
+        assert fig8.expected_dims((4,)) == (0, 1, 1)
+        assert whitehead.expected_dims((6,)) == (0, 2, 2)
+        assert fig8.expected_dims((0,)) is None and fig8.expected_dims((3,)) is None
+
+    def test_two_nonzero_weights_have_no_closed_form(self, fig8_conjugate):
+        # cuspidal classes add to h1 on the diagonal, so (0, 1, 1) would be false
+        assert homology_dims(fig8_conjugate.presentation, fig8_conjugate.rep,
+                             (6, 6)).dims() == (0, 2, 2)
+        for lam in ((6, 6), (2, 2), (4, 2)):
+            assert fig8_conjugate.expected_dims(lam) is None
+        # one nonzero weight is the one-factor series
+        for lam in ((6, 0), (0, 4)):
+            assert fig8_conjugate.expected_dims(lam) == (0, 1, 1) == \
+                homology_dims(fig8_conjugate.presentation, fig8_conjugate.rep, lam).dims()

@@ -358,6 +358,17 @@ class TestErrors:
         assert config_from_args(["--rows", "3", "--word-len", "0"]) == \
             cli.ExperimentConfig(rows=3, word_len=0)
 
+    def test_non_integer_census_value_is_one_line(self, tmp_path, capsys):
+        pres, rep = tmp_path / "e.pres", tmp_path / "e.rep"
+        pres.write_text("name: e\ngenerators: t\ncusps: one\n")
+        rep.write_text("field: 0 1\nimage: t 1 : 1 ; 1 ; 0 ; 1\n")
+        rc = main(["--mode", "homology", "--presentation", str(pres), "--representation",
+                   str(rep), "--weights", "2:2", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: CensusFormatError: {pres}: cusps must be an integer, got 'one'"]
+
     def test_bad_memory_cap_names_the_variable(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("L2APPROX_MEMORY_CAP", "abc")
         rc = main(["--mode", "luck", "--entry", "z-unipotent", "--quotients", "2",
@@ -380,9 +391,10 @@ class TestErrors:
 
     def test_middle_term_bound_failure_is_an_invariant_error(self, tmp_path, capsys,
                                                             monkeypatch):
-        # rank -1 over Q(w) (companion rows carry twice the rank) keeps the
-        # Euler identity and every dimension non-negative but gives h1 > 2d
-        monkeypatch.setattr(foxhomology, "rank_rows", lambda rows: -2)
+        # rank -1 over Q(w) for J and D (companion rows carry twice the rank)
+        # keeps the Euler identity and every dimension non-negative but gives
+        # h1 > 2d
+        monkeypatch.setattr(foxhomology, "_boundary_ranks", lambda j_rows, d_rows, g: (-2, -2))
         rc = main(["--mode", "limit", "--entry", "figure-eight", "--weights", "2:8:2",
                    "--degree", "1", "--out", str(tmp_path / "x.csv")])
         assert rc == 3

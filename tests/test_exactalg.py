@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l2approx.exactalg import (FieldMismatchError, NumberField, QQ, ScaledMatrix,
-                               StructuralError, rank_rows)
+                               StructuralError, pivot_columns, rank_rows)
 from l2approx.foxhomology import presentation_complex
 from l2approx.repweights import weight_rep
 
@@ -215,6 +215,34 @@ class TestRankRowsKernel:
         assert rank_rows(consumed) == gauss_rank(rows) == rank
         # the pivot row is swapped to the top and never rewritten
         assert consumed[0] == rows[first_pivot]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pivot_columns_are_where_the_column_prefix_rank_grows(self, seed):
+        """Column c is a pivot iff the columns 0..c have larger rank than
+        the columns 0..c-1; the matrices carry zero rows, zero columns and
+        columns planted as combinations of earlier ones."""
+        rng = random.Random(seed)
+        for _ in range(8):
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 9)
+            cols = []
+            for c in range(ncols):
+                kind = rng.random()
+                if kind < 0.2:
+                    col = [0] * nrows
+                elif kind < 0.5 and cols:
+                    picks = rng.sample(range(len(cols)), min(2, len(cols)))
+                    weights = [rng.randint(-3, 3) for _ in picks]
+                    col = [sum(w * cols[k][i] for w, k in zip(weights, picks)) for i in range(nrows)]
+                else:
+                    col = [rng.randint(-5, 5) for _ in range(nrows)]
+                cols.append(col)
+            rows = [[cols[c][i] for c in range(ncols)] for i in range(nrows)]
+            for i in rng.sample(range(nrows), nrows // 3):
+                rows[i] = [0] * ncols
+            prefix = [gauss_rank([row[:c] for row in rows]) for c in range(ncols + 1)]
+            expected = [c for c in range(ncols) if prefix[c + 1] > prefix[c]]
+            assert pivot_columns([row[:] for row in rows]) == expected
+            assert rank_rows([row[:] for row in rows]) == len(expected) == prefix[-1]
 
     @pytest.mark.parametrize("entry, lam, deficiency", [("fig8", 24, 1), ("whitehead", 20, 2)])
     def test_embedded_fox_jacobian_matches_gauss_rank(self, request, entry, lam, deficiency):
