@@ -11,8 +11,8 @@ from fractions import Fraction
 from l2approx.census import builtin_entry
 from l2approx.exactalg import QQ
 from l2approx.foxhomology import invariants_dim
-from l2approx.rankfun import (FiniteAlgebraMatrix, PermutationOps, cyclic_generator,
-                              twisted_finite_rank)
+from l2approx.groupcore import GroupAlgebraMatrix
+from l2approx.rankfun import PermutationOps, cyclic_generator, twisted_finite_rank
 
 
 def main() -> int:
@@ -26,7 +26,7 @@ def main() -> int:
     ops = PermutationOps(2)
     g = cyclic_generator(2)
     elements = [ops.identity, g]
-    a = FiniteAlgebraMatrix.single(QQ, {g: 1, ops.identity: -1})
+    a = GroupAlgebraMatrix.single(QQ, {g: 1, ops.identity: -1})
     rk_trivial = twisted_finite_rank(a, ops, elements, elements, {ops.identity: 1, g: 1})
     rk_sign = twisted_finite_rank(a, ops, elements, elements, {ops.identity: 1, g: -1})
     print(f"\ntwisted rank of g - 1: trivial character -> {rk_trivial}, "

@@ -26,6 +26,9 @@ Representation file::
                                  # basis (missing high coefficients are zero);
                                  # one line per generator and factor
 
+Only `relator:` and `image:` lines repeat; any other key given twice is a
+`CensusFormatError`.
+
 Validation on load: relators freely reduce, every generator image has
 determinant exactly 1, every relator evaluates to +-Identity per factor, all
 entries lie in the declared field, and the minimal polynomial passes an
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .exactalg import NumberField, ScaledMatrix
 from .groupcore import GroupPresentation, word_from_string
@@ -90,20 +93,21 @@ class CensusEntry:
         return (0, self.cusps - d * self.euler, self.cusps)
 
 
-def _content_lines(text: str) -> list[str]:
-    out = []
+def _key_values(text: str, path: str, repeatable: str) -> Iterator[tuple[str, str]]:
+    """The (key, value) pairs of the file's non-comment lines, in order; a
+    key other than `repeatable` given a second time is refused."""
+    seen = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
-
-
-def _key_value(line: str, path: str) -> tuple[str, str]:
-    if ":" not in line:
-        raise CensusFormatError(f"{path}: expected 'key: value', got {line!r}")
-    key, value = line.split(":", 1)
-    return key.strip(), value.strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise CensusFormatError(f"{path}: expected 'key: value', got {line!r}")
+        key, value = (part.strip() for part in line.split(":", 1))
+        if key in seen and key != repeatable:
+            raise CensusFormatError(f"{path}: repeated key {key!r}")
+        seen.add(key)
+        yield key, value
 
 
 def _rational(text: str, path: str) -> Fraction:
@@ -127,8 +131,7 @@ def parse_presentation(text: str, path: str = "<presentation>") -> dict:
     meta = {"name": None, "generators": None, "relators": [], "central": None,
             "aspherical": False, "cusps": None, "euler": None, "targets": None,
             "provenance": ""}
-    for line in _content_lines(text):
-        key, value = _key_value(line, path)
+    for key, value in _key_values(text, path, "relator"):
         if key == "name":
             meta["name"] = value
         elif key == "generators":
@@ -185,8 +188,7 @@ def parse_representation(text: str, generator_names: Sequence[str],
     field: Optional[NumberField] = None
     factors = 1
     images: dict[tuple[str, int], ScaledMatrix] = {}
-    for line in _content_lines(text):
-        key, value = _key_value(line, path)
+    for key, value in _key_values(text, path, "image"):
         if key == "field":
             coeffs = tuple(_rational(p, path) for p in value.split())
             field = NumberField(coeffs)

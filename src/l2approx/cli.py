@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 
 from . import census, foxhomology, limitlab, padicharris, rankfun
 from .exactalg import InvariantError, QQ, ScaledMatrix, StructuralError
-from .groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
-                        IDENTITY_WORD, free_reduce, word_from_string)
+from .groupcore import (GroupAlgebraMatrix, GroupPresentation, IDENTITY_WORD, free_reduce,
+                        sum_terms, word_from_string)
 from .limitlab import _dec
 from .repweights import ParityError, WeightVector, weight_dim
 
@@ -97,6 +97,7 @@ _FIELD_CHOICES = {f.name: f.metadata["choices"] for f in dc_fields(ExperimentCon
 
 def parse_config_file(path: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
+    seen = set()
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -108,6 +109,9 @@ def parse_config_file(path: str) -> ExperimentConfig:
         value = value.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
+        if key in seen:
+            raise ConfigError(f"config key {key!r} is given twice")
+        seen.add(key)
         if _FIELD_TYPES[key] is not str:
             try:
                 value = int(value)
@@ -204,13 +208,12 @@ def _csv_row(mode: str, entry: str, lam: str, min_lambda, dim_w, value,
 _TERM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)?(?:\s*\*\s*)?([A-Za-z]+)?$")
 
 
-def _parse_algebra_entry(text: str, names: Sequence[str], field,
-                         path: str) -> GroupAlgebraElement:
-    """Entry grammar: terms joined by + or -, each term RATIONAL, WORD,
-    RATIONAL*WORD, or 1 for the identity word."""
+def _parse_algebra_entry(text: str, names: Sequence[str], field, path: str) -> dict:
+    """One matrix cell (`sum_terms`).  Entry grammar: terms joined by + or -,
+    each term RATIONAL, WORD, RATIONAL*WORD, or 1 for the identity word."""
     text = text.strip()
     if not text or text == "0":
-        return GroupAlgebraElement.zero(field)
+        return {}
     terms = []
     for chunk in re.findall(r"[+-]?[^+-]+", text.replace(" ", "")):
         sgn = -1 if chunk.startswith("-") else 1
@@ -223,7 +226,7 @@ def _parse_algebra_entry(text: str, names: Sequence[str], field,
             raise ConfigError(f"matrix file {path}: zero denominator in term {chunk!r}") from None
         word = word_from_string(m.group(2), names) if m.group(2) else IDENTITY_WORD
         terms.append((word, sgn * coeff))
-    return GroupAlgebraElement.from_terms(field, terms)
+    return sum_terms(field, terms)
 
 
 def parse_matrix_file(path: str, names: Sequence[str], field) -> GroupAlgebraMatrix:
@@ -254,7 +257,7 @@ def random_matrix(names: Sequence[str], field, rows: int, cols: int,
                 length = rng.randint(0, word_len)
                 letters = [(rng.randrange(g), rng.choice((1, -1))) for _ in range(length)]
                 terms.append((free_reduce(letters), rng.choice((-2, -1, 1, 2))))
-            row.append(GroupAlgebraElement.from_terms(field, terms))
+            row.append(sum_terms(field, terms))
         out.append(row)
     return GroupAlgebraMatrix.from_rows(field, out)
 

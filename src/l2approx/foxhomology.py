@@ -39,13 +39,12 @@ from typing import Sequence
 
 from .exactalg import (InvariantError, ScaledMatrix, pivot_columns, product_is_zero,
                        rank_rows)
-from .groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
-                        IDENTITY_WORD, Word)
+from .groupcore import GroupAlgebraMatrix, GroupPresentation, IDENTITY_WORD, Word, sum_terms
 from .repweights import RepAssignment, WeightVector, evaluate, validate_weight, weight_dim
 
 
-def fox_derivative(w: Word, j: int, field) -> GroupAlgebraElement:
-    """Free Fox derivative d(w)/d(x_j) as a group-algebra element.
+def fox_derivative(w: Word, j: int, field) -> dict:
+    """Free Fox derivative d(w)/d(x_j) as a group-ring cell (`sum_terms`).
 
     Axioms: d(x_j)/d(x_j) = 1, d(x_i)/d(x_j) = 0 for i != j,
     d(uv) = du + u dv, d(x_j^-1) = -x_j^-1.
@@ -57,23 +56,20 @@ def fox_derivative(w: Word, j: int, field) -> GroupAlgebraElement:
         if idx == j:
             terms.append((prefix, 1) if exp == 1 else (step, -1))
         prefix = step
-    return GroupAlgebraElement.from_terms(field, terms)
+    return sum_terms(field, terms)
 
 
 def fox_jacobian(p: GroupPresentation, field) -> GroupAlgebraMatrix:
     """r x g matrix with entry (k, j) = d(relator_k)/d(x_j)."""
     g = p.num_generators
-    rows = [[fox_derivative(rel, j, field) for j in range(g)] for rel in p.relators]
-    if not rows:
-        return GroupAlgebraMatrix(field, 0, g, ())
-    return GroupAlgebraMatrix.from_rows(field, rows)
+    return GroupAlgebraMatrix(field, p.num_relators, g, tuple(
+        fox_derivative(rel, j, field) for rel in p.relators for j in range(g)))
 
 
 def boundary_stack(p: GroupPresentation, field) -> GroupAlgebraMatrix:
     """g x 1 column of the elements x_j - 1."""
     return GroupAlgebraMatrix.from_rows(field, [
-        [GroupAlgebraElement.from_terms(field, [(Word(((j, 1),)), 1), (IDENTITY_WORD, -1)])]
-        for j in range(p.num_generators)])
+        [{Word(((j, 1),)): 1, IDENTITY_WORD: -1}] for j in range(p.num_generators)])
 
 
 def presentation_complex(p: GroupPresentation, rep: RepAssignment, lam: Sequence[int]

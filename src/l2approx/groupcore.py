@@ -2,16 +2,22 @@
 
 Group elements are freely reduced words; no word-problem solving happens
 anywhere.  Equality of group elements is never needed by a rank computation,
-only their images under a matrix representation (`repweights.evaluate`).
+only their images under a matrix representation (`repweights.evaluate`) or
+a finite quotient (`rankfun.FiniteQuotientMap.push`).
+
+`GroupAlgebraMatrix` is the one group-ring matrix type.  Each cell is the
+dict `sum_terms` returns, key -> nonzero coefficient: the keys are words for
+a presented group and hashable group elements for a finite one, so the
+weight-module route and the finite-quotient route rank the same type.  The
+library never multiplies group-ring elements; the test oracles do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-from .exactalg import (Coeffish, FieldElement, FieldMismatchError, NumberField,
-                       StructuralError, flatten_rows)
+from .exactalg import Coeffish, FieldMismatchError, NumberField, StructuralError, flatten_rows
 
 Letter = tuple[int, int]  # (generator index, exponent +1 or -1)
 
@@ -126,96 +132,37 @@ def sum_terms(field: NumberField, pairs: Iterable[tuple[Hashable, Coeffish]]) ->
 
 
 @dataclass(frozen=True)
-class GroupAlgebraElement:
-    """Finite formal sum of words with coefficients in one number field."""
-
-    field: NumberField
-    terms: tuple[tuple[Word, FieldElement], ...]  # sorted, no zero coefficients
-
-    @staticmethod
-    def from_terms(field: NumberField, pairs: Iterable[tuple[Word, Coeffish]]) -> "GroupAlgebraElement":
-        """The sum of (word, coefficient) pairs (see `sum_terms`), words sorted."""
-        ordered = sorted(sum_terms(field, pairs).items(),
-                         key=lambda t: (t[0].length, t[0].letters))
-        return GroupAlgebraElement(field, tuple(ordered))
-
-    @staticmethod
-    def zero(field: NumberField) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(field, ())
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def support(self) -> tuple[Word, ...]:
-        return tuple(w for w, _ in self.terms)
-
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        if self.field != other.field:
-            raise FieldMismatchError("sum over different fields")
-        return GroupAlgebraElement.from_terms(self.field, self.terms + other.terms)
-
-    def __neg__(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.field, tuple((w, -c) for w, c in self.terms))
-
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + (-other)
-
-    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        if self.field != other.field:
-            raise FieldMismatchError("product over different fields")
-        return GroupAlgebraElement.from_terms(
-            self.field, ((w1 * w2, c1 * c2) for w1, c1 in self.terms for w2, c2 in other.terms))
-
-
-@dataclass(frozen=True)
 class GroupAlgebraMatrix:
+    """Matrix over the group algebra of a group with coefficients in one
+    number field.  Each cell is a `sum_terms` dict key -> nonzero
+    `FieldElement`: the keys are free-group `Word`s for a presented group,
+    or hashable elements of a finite group (`FiniteQuotientMap.push`)."""
+
     field: NumberField
     rows: int
     cols: int
-    entries: tuple[GroupAlgebraElement, ...]  # row-major
+    entries: tuple[dict, ...]  # row-major
 
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
             raise StructuralError("entry count does not match shape")
-        for e in self.entries:
-            if e.field != self.field:
-                raise FieldMismatchError("matrix entries over inconsistent fields")
+        if any(c.field != self.field for cell in self.entries for c in cell.values()):
+            raise FieldMismatchError("matrix entries over inconsistent fields")
 
     @staticmethod
-    def from_rows(field: NumberField, rows: Sequence[Sequence[GroupAlgebraElement]]) -> "GroupAlgebraMatrix":
+    def from_rows(field: NumberField, rows: Sequence[Sequence[Mapping]]) -> "GroupAlgebraMatrix":
+        """The matrix whose cells are the `sum_terms` of the given maps."""
         r, c, flat = flatten_rows(rows)
-        return GroupAlgebraMatrix(field, r, c, tuple(flat))
+        return GroupAlgebraMatrix(field, r, c,
+                                  tuple(sum_terms(field, cell.items()) for cell in flat))
 
     @staticmethod
-    def single(elem: GroupAlgebraElement) -> "GroupAlgebraMatrix":
-        return GroupAlgebraMatrix(elem.field, 1, 1, (elem,))
+    def single(field: NumberField, cell: Mapping) -> "GroupAlgebraMatrix":
+        return GroupAlgebraMatrix.from_rows(field, [[cell]])
 
-    def entry(self, i: int, j: int) -> GroupAlgebraElement:
+    def entry(self, i: int, j: int) -> dict:
         return self.entries[i * self.cols + j]
 
-    def __mul__(self, other: "GroupAlgebraMatrix") -> "GroupAlgebraMatrix":
-        if self.field != other.field:
-            raise FieldMismatchError("matrix product over different fields")
-        if self.cols != other.rows:
-            raise StructuralError("inner dimensions do not match")
-        z = GroupAlgebraElement.zero(self.field)
-        flat = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = self.entry(i, k)
-                    if a:
-                        b = other.entry(k, j)
-                        if b:
-                            acc = acc + a * b
-                flat.append(acc)
-        return GroupAlgebraMatrix(self.field, self.rows, other.cols, tuple(flat))
-
-    def support(self) -> tuple[Word, ...]:
-        seen: dict[Word, None] = {}
-        for e in self.entries:
-            for w in e.support():
-                seen.setdefault(w, None)
-        return tuple(seen)
-
+    def support(self) -> tuple:
+        """Every key of every cell once, in first-seen row-major order."""
+        return tuple(dict.fromkeys(key for cell in self.entries for key in cell))

@@ -7,6 +7,11 @@ Four families live here:
 * twisted finite-group rank relative to a central character, and
 * Lueck ranks through finite quotient maps.
 
+Every function takes the one group-ring matrix type, `GroupAlgebraMatrix`.
+The weight-module and Lueck ranks take it over words of a presented group;
+the finite-group ranks take it over elements of the finite group, as
+`FiniteQuotientMap.push` returns it.
+
 All values are exact `Fraction`s.  A finite-group rank is the rank of `a` on
 a module of the group, and one assembler, `_module_matrix`, builds that
 matrix from the action of each group element: the regular, Wedderburn and
@@ -30,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Protocol, Sequence
 
 from .exactalg import (FieldElement, NumberField, QQ, ScaledMatrix, StructuralError,
-                       flatten_rows, scaled_vectors)
+                       scaled_vectors)
 from .groupcore import GroupAlgebraMatrix, GroupPresentation, Word, sum_terms
 from .repweights import RepAssignment, evaluate, weight_dim
 
@@ -138,41 +143,7 @@ def subgroup_closure(ops: GroupOps, generators: Iterable, cap: int) -> list:
     return order
 
 
-@dataclass(frozen=True)
-class FiniteAlgebraMatrix:
-    """Matrix over the group algebra of a finite group; entries are maps
-    element -> coefficient over one number field."""
-
-    field: NumberField
-    rows: int
-    cols: int
-    entries: tuple[Mapping, ...]
-
-    @staticmethod
-    def from_rows(field: NumberField, rows: Sequence[Sequence[Mapping]]) -> "FiniteAlgebraMatrix":
-        r, c, flat = flatten_rows(rows)
-        return FiniteAlgebraMatrix(field, r, c,
-                                   tuple(sum_terms(field, cell.items()) for cell in flat))
-
-    @staticmethod
-    def single(field: NumberField, cell: Mapping) -> "FiniteAlgebraMatrix":
-        return FiniteAlgebraMatrix.from_rows(field, [[cell]])
-
-    def entry(self, i: int, j: int) -> Mapping:
-        return self.entries[i * self.cols + j]
-
-    def support(self) -> list:
-        out = []
-        seen = set()
-        for cell in self.entries:
-            for g in cell:
-                if g not in seen:
-                    seen.add(g)
-                    out.append(g)
-        return out
-
-
-def _module_matrix(a: FiniteAlgebraMatrix, n: int, action: Callable) -> ScaledMatrix:
+def _module_matrix(a: GroupAlgebraMatrix, n: int, action: Callable) -> ScaledMatrix:
     """`a` acting on an n-dimensional module: block (i, j) is the sum of
     c * action(g) over the terms c * g of cell (i, j), where action(g) lists
     the nonzero (row, col, int) entries of g on the module."""
@@ -196,7 +167,7 @@ def _module_matrix(a: FiniteAlgebraMatrix, n: int, action: Callable) -> ScaledMa
     return ScaledMatrix(a.field, out_rows, out_cols, den, tuple(flat))
 
 
-def _regular_rank(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequence,
+def _regular_rank(a: GroupAlgebraMatrix, ops: GroupOps, elements: Sequence,
                   limit: int) -> RankValue:
     """Rank of `a` on the group algebra of the listed elements, g sending v to
     g * v, over the list's length; a `MemoryCapError` refuses a list with
@@ -216,7 +187,7 @@ def _regular_rank(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequence,
     return Fraction(mat.rank(), len(elements))
 
 
-def finite_vn_rank(a: FiniteAlgebraMatrix, ops: GroupOps, *,
+def finite_vn_rank(a: GroupAlgebraMatrix, ops: GroupOps, *,
                    elements: Optional[Sequence] = None) -> RankValue:
     """Exact von Neumann rank rk(a) = rank of the regular representation / |Q|.
 
@@ -238,7 +209,7 @@ def finite_vn_rank(a: FiniteAlgebraMatrix, ops: GroupOps, *,
     return _regular_rank(a, ops, list(elements), limit)
 
 
-def _wedderburn_rank(a: FiniteAlgebraMatrix, moduli: Sequence[int], limit: int) -> RankValue:
+def _wedderburn_rank(a: GroupAlgebraMatrix, moduli: Sequence[int], limit: int) -> RankValue:
     """rk(a) over Q = Z/m_1 x ... x Z/m_g by the rational Wedderburn
     decomposition Q[Q] = (+)_v Q(zeta_k), one summand per orbit
     {u * v : gcd(u, k) = 1} of an element v of order k in the dual group.
@@ -290,7 +261,7 @@ def _wedderburn_rank(a: FiniteAlgebraMatrix, moduli: Sequence[int], limit: int) 
     return Fraction(total, order)
 
 
-def twisted_finite_rank(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequence,
+def twisted_finite_rank(a: GroupAlgebraMatrix, ops: GroupOps, elements: Sequence,
                         center: Sequence, chi: Mapping) -> RankValue:
     """Rank of `a` on the quotient of the group algebra by a central character.
 
@@ -321,7 +292,7 @@ def twisted_finite_rank(a: FiniteAlgebraMatrix, ops: GroupOps, elements: Sequenc
     if any(chi_e[ops.mul(z, w)] != chi_e[z] * chi_e[w] for z in center for w in center):
         raise ValueError("character is not multiplicative on the central subgroup")
     twist = [(z, chi_e[ops.inv(z)]) for z in center]
-    b = FiniteAlgebraMatrix(field, a.rows, a.cols, tuple(
+    b = GroupAlgebraMatrix(field, a.rows, a.cols, tuple(
         sum_terms(field, ((ops.mul(g, z), c * x) for g, c in cell.items() for z, x in twist))
         for cell in a.entries))
     return _regular_rank(b, ops, elements, memory_cap()) * len(center)
@@ -434,8 +405,10 @@ class FiniteQuotientMap:
     """Quotient of a presented group onto a finite group, by generator images.
 
     Validated at construction: every relator maps to the identity.  `order`
-    is the declared order of the full quotient (reporting only; ranks are
-    normalized over the support subgroup, which gives the same value).
+    is the declared order of the full quotient, used for reporting only:
+    `finite_vn_rank` ranks an abelian quotient over all of it, one Wedderburn
+    block per cyclic subgroup of the dual group, and any other quotient over
+    the subgroup the pushed support generates, which gives the same value.
     """
 
     presentation: GroupPresentation
@@ -462,11 +435,21 @@ class FiniteQuotientMap:
             out = self.ops.mul(out, g if exp == 1 else self.ops.inv(g))
         return out
 
-    def push(self, a: GroupAlgebraMatrix) -> FiniteAlgebraMatrix:
-        """`a` with every word replaced by its image; words with one image add."""
-        cells = (sum_terms(a.field, ((self.word_image(w), c) for w, c in e.terms))
+    def push(self, a: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
+        """`a` with every word replaced by its image; words with one image add.
+
+        Each cell's words are taken shortest first, then by letters, so the
+        pushed support lists its elements in that order whatever order the
+        cell was built in.  The support is the generator list of
+        `subgroup_closure`, whose element order is the basis order of a
+        non-abelian regular module."""
+        def shortest_first(term):
+            return term[0].length, term[0].letters
+
+        cells = (sum_terms(a.field, ((self.word_image(w), c)
+                                     for w, c in sorted(e.items(), key=shortest_first)))
                  for e in a.entries)
-        return FiniteAlgebraMatrix(a.field, a.rows, a.cols, tuple(cells))
+        return GroupAlgebraMatrix(a.field, a.rows, a.cols, tuple(cells))
 
 
 def sylvester_rank(a: GroupAlgebraMatrix, rep: RepAssignment, lam: Sequence[int]) -> RankValue:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .exactalg import (FieldMismatchError, NumberField, ScaledMatrix, StructuralError,
                        _slot_width, _unpack, scaled_vectors)
-from .groupcore import GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation, Word
+from .groupcore import GroupAlgebraMatrix, GroupPresentation, Word
 
 WeightVector = tuple[int, ...]
 
@@ -159,27 +159,17 @@ def sym_power(g: ScaledMatrix, lam: int) -> ScaledMatrix:
     return weight_rep((g,), (lam,))
 
 
-def _central_sign(z: Union[int, ScaledMatrix]) -> int:
-    if isinstance(z, int):
-        if z in (1, -1):
-            return z
-        raise ValueError("central entries must be +1 or -1 (for +Id / -Id)")
-    if isinstance(z, ScaledMatrix):
-        sign = _identity_sign(z)
-        if sign is None:
-            raise ValueError("central entries must equal +Identity or -Identity")
-        return sign
-    raise StructuralError("central entry must be a sign or a 2x2 matrix")
-
-
-def central_character_value(lam: Sequence[int], z: Sequence[Union[int, ScaledMatrix]]) -> int:
-    """Scalar through which (z_1, ..., z_n), each +-Identity, acts on the weight module."""
+def central_character_value(lam: Sequence[int], z: Sequence[int]) -> int:
+    """Scalar through which (z_1, ..., z_n), each +Identity or -Identity
+    given by its sign +1 or -1, acts on the weight module."""
     lam = validate_weight(lam)
     if len(z) != len(lam):
         raise StructuralError("central tuple length differs from weight length")
     value = 1
-    for l, zj in zip(lam, z):
-        if _central_sign(zj) == -1 and l % 2 == 1:
+    for l, sign in zip(lam, z):
+        if sign not in (1, -1):
+            raise ValueError("central entries must be +1 or -1 (for +Id / -Id)")
+        if sign == -1 and l % 2 == 1:
             value = -value
     return value
 
@@ -314,9 +304,8 @@ def _word_image(factor_images: Sequence[ScaledMatrix], w: Word,
     return ScaledMatrix(field, 2, 2, den // content, entries)
 
 
-def evaluate(a: Union[GroupAlgebraElement, GroupAlgebraMatrix], rep: RepAssignment,
-             lam: Sequence[int]) -> ScaledMatrix:
-    """Image of a group-algebra element or matrix on the weight module of `lam`.
+def evaluate(a: GroupAlgebraMatrix, rep: RepAssignment, lam: Sequence[int]) -> ScaledMatrix:
+    """Image of a group-algebra matrix on the weight module of `lam`.
 
     Sym^lam and the Kronecker product are homomorphisms, so each support word
     is multiplied out as a 2x2 matrix per factor and lifted to the weight
@@ -329,12 +318,10 @@ def evaluate(a: Union[GroupAlgebraElement, GroupAlgebraMatrix], rep: RepAssignme
     int_mul_bound and B_w bounds the l1 norm of a column of the word's image
     (`_weight_parts`), so every entry unpacks exactly.
 
-    A matrix becomes the (rows*d) x (cols*d) block matrix with d = dim W; an
-    element becomes a d x d matrix.  No parity gate here.
+    The matrix becomes the (rows*d) x (cols*d) block matrix with d = dim W.
+    No parity gate here.
     """
     lam = validate_weight(lam)
-    if isinstance(a, GroupAlgebraElement):
-        a = GroupAlgebraMatrix.single(a)
     if not isinstance(a, GroupAlgebraMatrix):
         raise StructuralError(f"cannot evaluate object of type {type(a).__name__}")
     if a.field != rep.field:
@@ -352,7 +339,7 @@ def evaluate(a: Union[GroupAlgebraElement, GroupAlgebraMatrix], rep: RepAssignme
     cells = []
     for e in a.entries:
         cell = []
-        for w, c in e.terms:
+        for w, c in e.items():
             cden, (cvec,) = scaled_vectors([c])
             irr = any(cvec[1:])
             cell.append((w, cvec, irr, cden * parts[w][0] * (t if irr else 1)))

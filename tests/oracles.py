@@ -8,9 +8,10 @@ arithmetic on Fractions (the library's former implementation; its products
 reduce by the minimal polynomial and read none of `int_mul`'s table), slopes
 from numpy.  These are the second route of every dual-route check.  Matrices here
 are `DenseMatrix`es of `FieldElement`s; `dense` views a library
-`ScaledMatrix` that way and `scaled` converts back.  The group-algebra
-block and adjoint constructions, the Fox identity check and the coinvariant
-dimension (through the dual action) serve only the tests and live here too.
+`ScaledMatrix` that way and `scaled` converts back.  The group-ring sum,
+product and matrix product on `GroupAlgebraMatrix` cells, the block and
+adjoint constructions, the Fox identity check and the coinvariant dimension
+(through the dual action) serve only the tests and live here too.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import sympy as sp
 from l2approx.exactalg import (FieldElement, FieldMismatchError, InvariantError, NumberField,
                                ScaledMatrix, StructuralError)
 from l2approx.foxhomology import boundary_stack, fox_derivative
-from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
-                                IDENTITY_WORD, Word)
+from l2approx.groupcore import (GroupAlgebraMatrix, GroupPresentation, IDENTITY_WORD, Word,
+                                sum_terms)
 from l2approx.repweights import RepAssignment, evaluate, validate_weight, weight_dim
 
 
@@ -316,7 +317,7 @@ def fraction_evaluate(a, rep, lam) -> DenseMatrix:
     flat = [field.zero] * (a.rows * d * out_cols)
     for i in range(a.rows):
         for j in range(a.cols):
-            for w, c in a.entry(i, j).terms:
+            for w, c in a.entry(i, j).items():
                 img = lifted[w]
                 for bi in range(d):
                     for bj in range(d):
@@ -397,16 +398,39 @@ def dense_regular_rank(a, ops, elements, center=None, chi=None) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# group-algebra constructions the axiom tests assemble matrices with
+# group-ring arithmetic on word cells (`sum_terms` dicts) and the
+# constructions the axiom tests assemble matrices with
 # ---------------------------------------------------------------------------
+
+def ga_sum(field: NumberField, *cells: dict) -> dict:
+    """Sum of group-ring cells: coefficients of equal words add."""
+    return sum_terms(field, (term for cell in cells for term in cell.items()))
+
+
+def ga_product(field: NumberField, x: dict, y: dict) -> dict:
+    """Product of two word cells: words multiply in the free group."""
+    return sum_terms(field, ((w1 * w2, c1 * c2) for w1, c1 in x.items() for w2, c2 in y.items()))
+
+
+def ga_matmul(a: GroupAlgebraMatrix, b: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
+    """Matrix product over the group ring of the free group."""
+    if a.field != b.field:
+        raise FieldMismatchError("matrix product over different fields")
+    if a.cols != b.rows:
+        raise StructuralError("inner dimensions do not match")
+    return GroupAlgebraMatrix(a.field, a.rows, b.cols, tuple(
+        ga_sum(a.field, *(ga_product(a.field, a.entry(i, k), b.entry(k, j))
+                          for k in range(a.cols)))
+        for i in range(a.rows) for j in range(b.cols)))
+
 
 def word_inverse(w: Word) -> Word:
     return Word(tuple((i, -e) for i, e in reversed(w.letters)))
 
 
-def ga_star(x: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Formal adjoint: invert every word, keep coefficients."""
-    return GroupAlgebraElement.from_terms(x.field, ((word_inverse(w), c) for w, c in x.terms))
+def ga_star(x: dict) -> dict:
+    """Formal adjoint of a word cell: invert every word, keep coefficients."""
+    return {word_inverse(w): c for w, c in x.items()}
 
 
 def ga_matrix_star(m: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
@@ -418,12 +442,11 @@ def ga_matrix_star(m: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
 def ga_block_diag(a: GroupAlgebraMatrix, b: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
     if a.field != b.field:
         raise FieldMismatchError("block sum over different fields")
-    z = GroupAlgebraElement.zero(a.field)
     rows = []
     for i in range(a.rows):
-        rows.append([a.entry(i, j) for j in range(a.cols)] + [z] * b.cols)
+        rows.append([a.entry(i, j) for j in range(a.cols)] + [{}] * b.cols)
     for i in range(b.rows):
-        rows.append([z] * a.cols + [b.entry(i, j) for j in range(b.cols)])
+        rows.append([{}] * a.cols + [b.entry(i, j) for j in range(b.cols)])
     return GroupAlgebraMatrix.from_rows(a.field, rows)
 
 
@@ -433,12 +456,11 @@ def ga_block_triangular(a: GroupAlgebraMatrix, c: GroupAlgebraMatrix, b: GroupAl
         raise FieldMismatchError("block assembly over different fields")
     if c.rows != a.rows or c.cols != b.cols:
         raise StructuralError("corner block has incompatible shape")
-    z = GroupAlgebraElement.zero(a.field)
     rows = []
     for i in range(a.rows):
         rows.append([a.entry(i, j) for j in range(a.cols)] + [c.entry(i, j) for j in range(c.cols)])
     for i in range(b.rows):
-        rows.append([z] * a.cols + [b.entry(i, j) for j in range(b.cols)])
+        rows.append([{}] * a.cols + [b.entry(i, j) for j in range(b.cols)])
     return GroupAlgebraMatrix.from_rows(a.field, rows)
 
 
@@ -450,11 +472,9 @@ def check_fox_identity(p: GroupPresentation, field) -> None:
     """Fundamental identity: sum_j d(r)/d(x_j) * (x_j - 1) = r - 1, per relator."""
     stack = boundary_stack(p, field)
     for rel in p.relators:
-        acc = GroupAlgebraElement.zero(field)
-        for j in range(p.num_generators):
-            acc = acc + fox_derivative(rel, j, field) * stack.entry(j, 0)
-        rhs = GroupAlgebraElement.from_terms(field, [(rel, 1), (IDENTITY_WORD, -1)])
-        if acc != rhs:
+        acc = ga_sum(field, *(ga_product(field, fox_derivative(rel, j, field), stack.entry(j, 0))
+                              for j in range(p.num_generators)))
+        if acc != sum_terms(field, [(rel, 1), (IDENTITY_WORD, -1)]):
             raise InvariantError(f"fundamental Fox identity fails for relator {rel!r}")
 
 

@@ -154,6 +154,22 @@ class TestLoadEntry:
                            match=f"^e.{suffix}: {key} must be an integer, got '{bad}'$"):
             load_entry_text(texts["pres"], texts["rep"], pres_path="e.pres", rep_path="e.rep")
 
+    @pytest.mark.parametrize("suffix, first, second, key", [
+        ("pres", "name: t", "name: u", "name"),
+        ("pres", "generators: a b", "generators: a", "generators"),
+        ("pres", "cusps: 1", "cusps: 2", "cusps"),
+        ("rep", "factors: 2", "factors: 1", "factors")],
+        ids=["name", "generators", "cusps", "factors"])
+    def test_repeated_single_valued_key_names_the_file_and_key(self, suffix, first, second, key):
+        # with the last value kept, each pair would load: one generator, one factor
+        lines = {"pres": ["name: t", "generators: a"],
+                 "rep": ["field: 0 1", "image: a 1 : 1 ; 1 ; 0 ; 1"]}
+        lines[suffix] = ([first] + [ln for ln in lines[suffix] if not ln.startswith(key + ":")]
+                         + [second])
+        with pytest.raises(CensusFormatError, match=f"^e.{suffix}: repeated key '{key}'$"):
+            load_entry_text(*("\n".join(lines[s]) + "\n" for s in ("pres", "rep")),
+                            pres_path="e.pres", rep_path="e.rep")
+
     @pytest.mark.parametrize("pres_old, pres_new, rep_old, rep_new", [
         ("targets: 0 0 0", "targets: 0 1/0 0", "", ""),
         ("", "", "field: 0 1", "field: 1/0 1"),
@@ -190,7 +206,7 @@ class TestKnotInvariants:
         for j in range(entry.presentation.num_generators):
             der = fox_derivative(rel, j, entry.field)
             expr = sp.Integer(0)
-            for w, c in der.terms:
+            for w, c in der.items():
                 mono = sp.Integer(1)
                 for idx, exp in w.letters:
                     mono *= images[idx] ** exp

@@ -124,6 +124,21 @@ class TestConfigFile:
         assert rc == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("first, second", [
+        ("mode=luck", "mode=homology"), ("matrix-file=a.txt", "matrix_file=b.txt")],
+        ids=["same-spelling", "dash-and-underscore"])
+    def test_repeated_key_is_a_one_line_error(self, tmp_path, capsys, first, second):
+        # with the last value kept, the first case would run homology and exit 0
+        key = first.split("=")[0].replace("-", "_")
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"{first}\nentry=figure-eight\nweights=2:4:2\n{second}\n")
+        rc = main(["--config", str(cfgfile), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: ConfigError: config key '{key}' is given twice\n"
+        assert captured.out == ""
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text("fnord=1\n")
@@ -412,9 +427,9 @@ class TestMatrixSources:
         assert (m.rows, m.cols) == (2, 2)
         from l2approx.groupcore import IDENTITY_WORD, word_from_string
         t = word_from_string("t", ("t",))
-        e00 = dict(m.entry(0, 0).terms)
+        e00 = m.entry(0, 0)
         assert e00[t].coeffs[0] == 1 and e00[IDENTITY_WORD].coeffs[0] == -1
-        assert dict(m.entry(1, 1).terms)[t].coeffs[0] == F(3, 2)
+        assert m.entry(1, 1)[t].coeffs[0] == F(3, 2)
 
     def test_matrix_file_through_cli(self, tmp_path):
         mf = tmp_path / "m.txt"

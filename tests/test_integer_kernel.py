@@ -18,8 +18,7 @@ from l2approx.census import builtin_entry
 from l2approx.exactalg import (InvariantError, NumberField, QQ, ScaledMatrix, product_is_zero,
                                scaled_vectors)
 from l2approx.foxhomology import fox_jacobian, homology_dims, presentation_complex
-from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
-                                free_reduce)
+from l2approx.groupcore import GroupAlgebraMatrix, GroupPresentation, free_reduce, sum_terms
 from l2approx.padicharris import diagonal_element_images
 from l2approx.repweights import RepAssignment, evaluate, sym_power, weight_rep
 
@@ -114,7 +113,7 @@ def test_evaluate_matches_fraction_reference(field):
                 w = free_reduce([(rng.randrange(2), rng.choice((1, -1)))
                                  for _ in range(rng.randint(0, 4))])
                 terms[w] = random_element(field, rng)
-            cells.append(GroupAlgebraElement.from_terms(field, terms.items()))
+            cells.append(sum_terms(field, terms.items()))
         a = GroupAlgebraMatrix.from_rows(field, [cells])
         for lam in ((1, 1), (2, 1)):
             assert dense(evaluate(a, rep, lam)) == fraction_evaluate(a, rep, lam)

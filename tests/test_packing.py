@@ -16,8 +16,8 @@ import pytest
 
 from l2approx.exactalg import NumberField, QQ, _pack, _slot_width, _unpack, product_is_zero
 from l2approx.foxhomology import presentation_complex
-from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
-                                free_reduce, word_from_string)
+from l2approx.groupcore import (GroupAlgebraMatrix, GroupPresentation, free_reduce, sum_terms,
+                                word_from_string)
 from l2approx.repweights import RepAssignment, _word_image, evaluate, sym_power, weight_rep
 
 from oracles import (DenseMatrix, dense, fraction_evaluate, fraction_sym_power,
@@ -82,8 +82,8 @@ def test_evaluate_matches_fraction_reference_at_large_entries(field):
     # a rational and an irrational coefficient on one word
     pairs = [(free_reduce([(rng.randrange(2), rng.choice((1, -1))) for _ in range(n)]),
               big_element(field, rng)) for n in (0, 1, 1)]
-    cell = GroupAlgebraElement.from_terms(field, pairs + [(pairs[-1][0], 1)])
-    a = GroupAlgebraMatrix.from_rows(field, [[cell, GroupAlgebraElement.zero(field)]])
+    cell = sum_terms(field, pairs + [(pairs[-1][0], 1)])
+    a = GroupAlgebraMatrix.from_rows(field, [[cell, {}]])
     for lam in LAMS:
         assert dense(evaluate(a, rep, (lam,))) == fraction_evaluate(a, rep, (lam,))
 

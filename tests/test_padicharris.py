@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from l2approx.exactalg import QQ, ScaledMatrix, StructuralError
-from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix,
-                                GroupPresentation, IDENTITY_WORD, word_from_string)
+from l2approx.groupcore import (GroupAlgebraMatrix, GroupPresentation, IDENTITY_WORD,
+                                word_from_string)
 from l2approx.padicharris import (CongruenceOps, congruence_quotient_map,
                                   diagonal_element_images, harris_sequence,
                                   reduce_matrix_mod, unipotent_element_images)
@@ -18,8 +18,7 @@ def z_presentation():
 
 def t_minus_one():
     t = word_from_string("t", ("t",))
-    return GroupAlgebraMatrix.single(
-        GroupAlgebraElement.from_terms(QQ, [(t, 1), (IDENTITY_WORD, -1)]))
+    return GroupAlgebraMatrix.single(QQ, {t: 1, IDENTITY_WORD: -1})
 
 
 def congruence_generators(p, level, n):
@@ -107,12 +106,12 @@ class TestHarris:
             assert r.error == r.envelope  # observed error equals index^(-1/3) exactly
 
     def test_scalar_full_rank_at_every_level(self):
-        a = GroupAlgebraMatrix.single(GroupAlgebraElement.from_terms(QQ, [(IDENTITY_WORD, 3)]))
+        a = GroupAlgebraMatrix.single(QQ, {IDENTITY_WORD: 3})
         rows = harris_sequence(a, z_presentation(), unipotent_element_images(3), 3, [1, 2, 3])
         assert [r.value for r in rows] == [1, 1, 1]
 
     def test_zero_matrix(self):
-        a = GroupAlgebraMatrix.single(GroupAlgebraElement.zero(QQ))
+        a = GroupAlgebraMatrix.single(QQ, {})
         rows = harris_sequence(a, z_presentation(), unipotent_element_images(3), 3, [1, 2, 3])
         assert [r.value for r in rows] == [0, 0, 0]
 

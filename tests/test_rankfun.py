@@ -7,10 +7,9 @@ import pytest
 from l2approx import rankfun
 from l2approx.cli import main
 from l2approx.exactalg import FieldMismatchError, QQ, ScaledMatrix, StructuralError
-from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix,
-                                GroupPresentation, IDENTITY_WORD,
-                                free_reduce, word_from_string)
-from l2approx.rankfun import (AbelianTupleOps, FiniteAlgebraMatrix, FiniteQuotientMap,
+from l2approx.groupcore import (GroupAlgebraMatrix, GroupPresentation, IDENTITY_WORD,
+                                free_reduce, sum_terms, word_from_string)
+from l2approx.rankfun import (AbelianTupleOps, FiniteQuotientMap,
                               MemoryCapError, PermutationOps,
                               characters_of_cyclic, cyclic_generator,
                               cyclic_power_quotient, cyclotomic_field, finite_vn_rank,
@@ -19,7 +18,7 @@ from l2approx.rankfun import (AbelianTupleOps, FiniteAlgebraMatrix, FiniteQuotie
 from l2approx.repweights import ParityError, evaluate
 
 from oracles import (QuaternionOps, companion_rows, dense, dense_regular_rank, ga_block_diag,
-                     ga_block_triangular, ga_matrix_star, gauss_rank)
+                     ga_block_triangular, ga_matmul, ga_matrix_star, gauss_rank)
 
 
 def random_element(rng, field, names, word_len=4, coeff_span=2, terms=3):
@@ -29,7 +28,7 @@ def random_element(rng, field, names, word_len=4, coeff_span=2, terms=3):
         raw = [(rng.randrange(g), rng.choice((1, -1))) for _ in range(rng.randint(0, word_len))]
         return free_reduce(raw), rng.randint(-coeff_span, coeff_span)
 
-    return GroupAlgebraElement.from_terms(field, [term() for _ in range(rng.randint(1, terms))])
+    return sum_terms(field, [term() for _ in range(rng.randint(1, terms))])
 
 
 def random_ga_matrix(rng, field, names, rows, cols, **kw):
@@ -50,13 +49,13 @@ def random_finite_matrix(rng, field, elements, rows, cols):
     if rows == 3:
         cells[2] = [{g: x.get(g, field.zero) + y.get(g, field.zero) for g in {**x, **y}}
                     for x, y in zip(cells[0], cells[1])]
-    return FiniteAlgebraMatrix.from_rows(field, cells)
+    return GroupAlgebraMatrix.from_rows(field, cells)
 
 
 @pytest.mark.parametrize("build, cell", [
     (ScaledMatrix.from_rows, 1),
-    (GroupAlgebraMatrix.from_rows, GroupAlgebraElement.zero(QQ)),
-    (FiniteAlgebraMatrix.from_rows, {(0,): 1})],
+    (GroupAlgebraMatrix.from_rows, {}),
+    (GroupAlgebraMatrix.from_rows, {(0,): 1})],
     ids=["scaled", "group-algebra", "finite-algebra"])
 def test_ragged_rows_are_a_structural_error(build, cell):
     with pytest.raises(StructuralError, match="ragged rows"):
@@ -65,13 +64,12 @@ def test_ragged_rows_are_a_structural_error(build, cell):
 
 class TestSylvesterRank:
     def test_identity_element_has_rank_one(self, sanov):
-        a = GroupAlgebraMatrix.single(GroupAlgebraElement.from_terms(QQ, [(IDENTITY_WORD, 1)]))
+        a = GroupAlgebraMatrix.single(QQ, {IDENTITY_WORD: 1})
         assert sylvester_rank(a, sanov.rep, (3,)) == 1
 
     def test_c2_parity_values(self, c2):
         g = word_from_string("g", ("g",))
-        a = GroupAlgebraMatrix.single(
-            GroupAlgebraElement.from_terms(QQ, [(g, 1), (IDENTITY_WORD, -1)]))
+        a = GroupAlgebraMatrix.single(QQ, {g: 1, IDENTITY_WORD: -1})
         assert sylvester_rank(a, c2.rep, (2,)) == 0
         assert sylvester_rank(a, c2.rep, (3,)) == 1
 
@@ -86,7 +84,7 @@ class TestSylvesterRank:
         j = ScaledMatrix.from_rows(QQ, [[0, 1], [-1, 0]])
         from l2approx.repweights import RepAssignment
         rep = RepAssignment.build(pres, [(j,)])
-        a = GroupAlgebraMatrix.single(GroupAlgebraElement.from_terms(QQ, [(IDENTITY_WORD, 1)]))
+        a = GroupAlgebraMatrix.single(QQ, {IDENTITY_WORD: 1})
         with pytest.raises(ParityError):
             sylvester_rank(a, rep, (3,))
 
@@ -103,14 +101,14 @@ class TestSylvesterRank:
             rka = sylvester_rank(a, rep, lam)
             rkb = sylvester_rank(b, rep, lam)
             # SMat2
-            assert sylvester_rank(a * b, rep, lam) <= min(rka, rkb)
+            assert sylvester_rank(ga_matmul(a, b), rep, lam) <= min(rka, rkb)
             # SMat3
             assert sylvester_rank(ga_block_diag(a, b), rep, lam) == rka + rkb
             # SMat4
             assert sylvester_rank(ga_block_triangular(a, c, b), rep, lam) >= rka + rkb
         # SMat1
-        zero = GroupAlgebraMatrix.single(GroupAlgebraElement.zero(QQ))
-        one = GroupAlgebraMatrix.single(GroupAlgebraElement.from_terms(QQ, [(IDENTITY_WORD, 1)]))
+        zero = GroupAlgebraMatrix.single(QQ, {})
+        one = GroupAlgebraMatrix.single(QQ, {IDENTITY_WORD: 1})
         assert sylvester_rank(zero, rep, (2,)) == 0
         assert sylvester_rank(one, rep, (2,)) == 1
 
@@ -137,7 +135,7 @@ class TestSylvesterRank:
             assert F(gauss_rank(emb), d * fig8.field.degree) == ranked
 
     def test_field_mismatch_rejected(self, fig8):
-        a = GroupAlgebraMatrix.single(GroupAlgebraElement.from_terms(QQ, [(IDENTITY_WORD, 1)]))
+        a = GroupAlgebraMatrix.single(QQ, {IDENTITY_WORD: 1})
         with pytest.raises(StructuralError):
             sylvester_rank(a, fig8.rep, (2,))
 
@@ -145,19 +143,19 @@ class TestSylvesterRank:
 class TestFiniteVnRank:
     def test_identity(self):
         ops = PermutationOps(5)
-        a = FiniteAlgebraMatrix.single(QQ, {ops.identity: 1})
+        a = GroupAlgebraMatrix.single(QQ, {ops.identity: 1})
         assert finite_vn_rank(a, ops) == 1
 
     def test_z2_half(self):
         ops = PermutationOps(2)
         g = cyclic_generator(2)
-        a = FiniteAlgebraMatrix.single(QQ, {g: 1, ops.identity: -1})
+        a = GroupAlgebraMatrix.single(QQ, {g: 1, ops.identity: -1})
         assert finite_vn_rank(a, ops) == F(1, 2)
 
     def test_z3_circulant(self):
         ops = PermutationOps(3)
         t = cyclic_generator(3)
-        a = FiniteAlgebraMatrix.single(QQ, {t: 1, ops.identity: -1})
+        a = GroupAlgebraMatrix.single(QQ, {t: 1, ops.identity: -1})
         assert finite_vn_rank(a, ops) == F(2, 3)
 
     def test_support_closure_equals_full_materialization(self):
@@ -175,7 +173,7 @@ class TestFiniteVnRank:
                 for _ in range(k):
                     power = ops.mul(t, power)
                 cell[power] = cell.get(power, 0) + rng.randint(-2, 2)
-            a = FiniteAlgebraMatrix.single(QQ, cell)
+            a = GroupAlgebraMatrix.single(QQ, cell)
             assert finite_vn_rank(a, ops) == finite_vn_rank(a, ops, elements=elements)
 
     def test_smat_axioms_randomized(self):
@@ -194,8 +192,8 @@ class TestFiniteVnRank:
             return cell
 
         def rand_mat(r, c):
-            return FiniteAlgebraMatrix.from_rows(QQ, [[rand_cell() for _ in range(c)]
-                                                      for _ in range(r)])
+            return GroupAlgebraMatrix.from_rows(QQ, [[rand_cell() for _ in range(c)]
+                                                     for _ in range(r)])
 
         def mat_mul(x, y):
             rows = []
@@ -210,19 +208,19 @@ class TestFiniteVnRank:
                                 cell[g] = cell.get(g, QQ.zero) + c1 * c2
                     row.append({g: c for g, c in cell.items() if c})
                 rows.append(row)
-            return FiniteAlgebraMatrix.from_rows(QQ, rows)
+            return GroupAlgebraMatrix.from_rows(QQ, rows)
 
         for _ in range(30):
             r, s, t_ = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
             a, b = rand_mat(r, s), rand_mat(s, t_)
             rka, rkb = finite_vn_rank(a, ops), finite_vn_rank(b, ops)
             assert finite_vn_rank(mat_mul(a, b), ops) <= min(rka, rkb)
-            diag = FiniteAlgebraMatrix.from_rows(QQ, [
+            diag = GroupAlgebraMatrix.from_rows(QQ, [
                 [a.entry(i, j) for j in range(a.cols)] + [{}] * b.cols for i in range(a.rows)] + [
                 [{}] * a.cols + [b.entry(i, j) for j in range(b.cols)] for i in range(b.rows)])
             assert finite_vn_rank(diag, ops) == rka + rkb
             c = rand_mat(r, t_)
-            tri = FiniteAlgebraMatrix.from_rows(QQ, [
+            tri = GroupAlgebraMatrix.from_rows(QQ, [
                 [a.entry(i, j) for j in range(a.cols)] + [c.entry(i, j) for j in range(c.cols)]
                 for i in range(a.rows)] + [
                 [{}] * a.cols + [b.entry(i, j) for j in range(b.cols)] for i in range(b.rows)])
@@ -243,7 +241,7 @@ class TestFiniteVnRank:
     def test_memory_cap(self, monkeypatch):
         ops = PermutationOps(64)
         g = cyclic_generator(64)
-        a = FiniteAlgebraMatrix.single(QQ, {g: 1})
+        a = GroupAlgebraMatrix.single(QQ, {g: 1})
         monkeypatch.setenv("L2APPROX_MEMORY_CAP", "32")
         with pytest.raises(MemoryCapError):
             finite_vn_rank(a, ops)
@@ -253,7 +251,7 @@ class TestFiniteVnRank:
         ops = PermutationOps(8)
         t = cyclic_generator(8)
         elements = subgroup_closure(ops, [t], 10)
-        a = FiniteAlgebraMatrix.single(QQ, {t: 1, ops.identity: -1})
+        a = GroupAlgebraMatrix.single(QQ, {t: 1, ops.identity: -1})
         chi = {ops.identity: 1}
         assert twisted_finite_rank(a, ops, elements, [ops.identity], chi) == F(7, 8)
         monkeypatch.setenv("L2APPROX_MEMORY_CAP", "1")
@@ -295,10 +293,10 @@ class TestWedderburnRank:
             ops = AbelianTupleOps(moduli)
             elements = list(itertools.product(*map(range, moduli)))
             for rows, cols in self.SHAPES:
-                zero = FiniteAlgebraMatrix.from_rows(field, [[{}] * cols] * rows)
+                zero = GroupAlgebraMatrix.from_rows(field, [[{}] * cols] * rows)
                 assert finite_vn_rank(zero, ops) == 0
                 for _ in range(2):
-                    a = FiniteAlgebraMatrix.from_rows(field, [
+                    a = GroupAlgebraMatrix.from_rows(field, [
                         [{rng.choice(elements): rng.choice(coeffs)
                           for _ in range(rng.randint(0, 3))} for _ in range(cols)]
                         for _ in range(rows)])
@@ -311,27 +309,27 @@ class TestWedderburnRank:
         monkeypatch.setattr(rankfun, "_regular_rank", refuse)
         monkeypatch.setattr(rankfun, "subgroup_closure", refuse)
         ops = AbelianTupleOps((4, 4))
-        a = FiniteAlgebraMatrix.from_rows(QQ, [[{(1, 0): 1, (0, 0): -1}],
+        a = GroupAlgebraMatrix.from_rows(QQ, [[{(1, 0): 1, (0, 0): -1}],
                                                [{(0, 1): 1, (0, 0): -1}]])
         assert finite_vn_rank(a, ops) == F(15, 16)
 
     def test_block_over_the_cap_is_refused_before_any_block(self, monkeypatch):
         monkeypatch.setenv("L2APPROX_MEMORY_CAP", "8")
-        a = FiniteAlgebraMatrix.single(QQ, {(1,): 1, (0,): -1})
+        a = GroupAlgebraMatrix.single(QQ, {(1,): 1, (0,): -1})
         # phi(16) * 1 = 8 fits, phi(32) = 16 does not; nor does phi(16) * 2
         assert finite_vn_rank(a, AbelianTupleOps((16,))) == F(15, 16)
         monkeypatch.setattr(rankfun, "_root_powers", None)
         with pytest.raises(MemoryCapError,
                            match=r"phi\(32\) \* max\(r, s\) = 16 exceeds the cap \(8\)"):
             finite_vn_rank(a, AbelianTupleOps((32,)))
-        tall = FiniteAlgebraMatrix.from_rows(QQ, [[{(1,): 1}], [{(0,): 1}]])
+        tall = GroupAlgebraMatrix.from_rows(QQ, [[{(1,): 1}], [{(0,): 1}]])
         with pytest.raises(MemoryCapError,
                            match=r"phi\(16\) \* max\(r, s\) = 16 exceeds the cap \(8\)"):
             finite_vn_rank(tall, AbelianTupleOps((16,)))
 
     def test_group_over_the_cap_squared_is_refused(self, monkeypatch):
         monkeypatch.setenv("L2APPROX_MEMORY_CAP", "4")
-        a = FiniteAlgebraMatrix.single(QQ, {(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0): -1})
+        a = GroupAlgebraMatrix.single(QQ, {(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0): -1})
         assert finite_vn_rank(a, AbelianTupleOps((2, 2, 2, 2))) == F(1, 2)
         monkeypatch.setattr(rankfun, "_root_powers", None)
         with pytest.raises(MemoryCapError, match=r"\|Q\| = 32 exceeds the cap squared \(16\)"):
@@ -352,7 +350,7 @@ class TestTwistedRank:
         ops = PermutationOps(2)
         g = cyclic_generator(2)
         elements = [ops.identity, g]
-        a = FiniteAlgebraMatrix.single(QQ, {g: 1, ops.identity: -1})
+        a = GroupAlgebraMatrix.single(QQ, {g: 1, ops.identity: -1})
         trivial = {ops.identity: 1, g: 1}
         signchar = {ops.identity: 1, g: -1}
         assert twisted_finite_rank(a, ops, elements, elements, trivial) == 0
@@ -371,7 +369,7 @@ class TestTwistedRank:
                 for _ in range(k):
                     e = ops.mul(t, e)
                 cell[e] = cell.get(e, 0) + rng.randint(-2, 2)
-            a = FiniteAlgebraMatrix.single(QQ, cell)
+            a = GroupAlgebraMatrix.single(QQ, cell)
             chi = {ops.identity: 1}
             assert twisted_finite_rank(a, ops, elements, [ops.identity], chi) == \
                 finite_vn_rank(a, ops, elements=elements)
@@ -395,7 +393,7 @@ class TestTwistedRank:
                 for _ in range(rng.randint(1, 4)):
                     g = rng.choice(elements)
                     cell[g] = cell.get(g, 0) + rng.randint(-2, 2)
-                a = FiniteAlgebraMatrix.single(field, cell)
+                a = GroupAlgebraMatrix.single(field, cell)
                 full = finite_vn_rank(a, ops, elements=elements)
                 avg = sum(twisted_finite_rank(a, ops, elements, center, chi)
                           for chi in chars) / zorder
@@ -424,7 +422,7 @@ class TestTwistedRank:
     ], ids=["support", "closure"])
     def test_support_escaping_the_elements_is_a_structural_error(self, elements):
         ops = PermutationOps(3)
-        a = FiniteAlgebraMatrix.single(QQ, {(1, 2, 0): 1})
+        a = GroupAlgebraMatrix.single(QQ, {(1, 2, 0): 1})
         with pytest.raises(StructuralError, match="escapes the listed elements"):
             twisted_finite_rank(a, ops, elements, [ops.identity], {ops.identity: 1})
         with pytest.raises(StructuralError, match="escapes the listed elements"):
@@ -434,7 +432,7 @@ class TestTwistedRank:
         # {1, t, t^2} is not a union of cosets of Z = {1, t^2}; the zero matrix
         # has no support, so only the tiling check can see it
         ops = PermutationOps(4)
-        zero = FiniteAlgebraMatrix.single(QQ, {})
+        zero = GroupAlgebraMatrix.single(QQ, {})
         center = [C4[0], C4[2]]
         with pytest.raises(StructuralError, match="does not evenly tile the element list"):
             twisted_finite_rank(zero, ops, C4[:3], center, {z: 1 for z in center})
@@ -444,7 +442,7 @@ class TestTwistedRank:
     def test_non_central_subgroup_rejected(self):
         qops = QuaternionOps()
         els = qops.all_elements()
-        a = FiniteAlgebraMatrix.single(QQ, {qops.identity: 1})
+        a = GroupAlgebraMatrix.single(QQ, {qops.identity: 1})
         not_central = [qops.identity, (-1, 0), (1, 1), (-1, 1)]  # <i> is not central
         with pytest.raises(ValueError):
             twisted_finite_rank(a, qops, els, not_central, {z: 1 for z in not_central})
@@ -453,7 +451,7 @@ class TestTwistedRank:
         ops = PermutationOps(2)
         elements = subgroup_closure(ops, [cyclic_generator(2)], 10)
         field, zeta = cyclotomic_field(4)
-        a = FiniteAlgebraMatrix.single(QQ, {ops.identity: 1})
+        a = GroupAlgebraMatrix.single(QQ, {ops.identity: 1})
         chi = {elements[0]: field.one, elements[1]: -field.one}
         with pytest.raises(FieldMismatchError):
             twisted_finite_rank(a, ops, elements, elements, chi)
@@ -469,8 +467,7 @@ class TestLuckRank:
     def make_z(self):
         pres = GroupPresentation(("t",), ())
         t = word_from_string("t", ("t",))
-        a = GroupAlgebraMatrix.single(
-            GroupAlgebraElement.from_terms(QQ, [(t, 1), (IDENTITY_WORD, -1)]))
+        a = GroupAlgebraMatrix.single(QQ, {t: 1, IDENTITY_WORD: -1})
         return pres, a
 
     def test_cyclic_quotients(self):
@@ -484,11 +481,20 @@ class TestLuckRank:
         # t and t^3 both map to the generator of Z/2, so t - t^3 pushes to 0
         pres = GroupPresentation(("t",), ())
         names = pres.generator_names
-        a = GroupAlgebraMatrix.single(GroupAlgebraElement.from_terms(
-            QQ, [(word_from_string("t", names), 1), (word_from_string("ttt", names), -1)]))
+        a = GroupAlgebraMatrix.single(QQ, {word_from_string("t", names): 1, word_from_string("ttt", names): -1})
         q = cyclic_power_quotient(pres, 2)
         assert q.push(a).entries == ({},)
         assert luck_rank(a, q) == 0
+
+    def test_push_lists_the_support_shortest_word_first(self):
+        # the cell is built longest word first; its words have distinct
+        # images in (Z/5)^2, which push lists by (length, letters)
+        pres = GroupPresentation(("a", "b"), ())
+        names = pres.generator_names
+        a = GroupAlgebraMatrix.single(QQ, {word_from_string(w, names): 1
+                                           for w in ("ab", "b", "a", "", "A")})
+        q = cyclic_power_quotient(pres, 5)
+        assert q.push(a).support() == ((0, 0), (4, 0), (1, 0), (0, 1), (1, 1))
 
     def test_trivial_quotient_is_augmentation(self):
         pres, a = self.make_z()
@@ -497,8 +503,7 @@ class TestLuckRank:
 
     def test_z2_to_klein_four(self, z2):
         s = word_from_string("s", ("s", "t"))
-        a = GroupAlgebraMatrix.single(
-            GroupAlgebraElement.from_terms(QQ, [(s, 1), (IDENTITY_WORD, -1)]))
+        a = GroupAlgebraMatrix.single(QQ, {s: 1, IDENTITY_WORD: -1})
         q = cyclic_power_quotient(z2.presentation, 2)
         assert q.order == 4
         assert luck_rank(a, q) == F(1, 2)
@@ -521,8 +526,8 @@ class TestLuckRank:
         pres, _ = self.make_z()
         chain = [FiniteQuotientMap.build(pres, PermutationOps(n), [cyclic_generator(n)],
                                          order=n, name=f"Z/{n}") for n in (2, 4)]
-        zero = GroupAlgebraMatrix.single(GroupAlgebraElement.zero(QQ))
-        one = GroupAlgebraMatrix.single(GroupAlgebraElement.from_terms(QQ, [(IDENTITY_WORD, 1)]))
+        zero = GroupAlgebraMatrix.single(QQ, {})
+        one = GroupAlgebraMatrix.single(QQ, {IDENTITY_WORD: 1})
         assert [luck_rank(zero, q) for q in chain] == [0, 0]
         assert [luck_rank(one, q) for q in chain] == [1, 1]
 
@@ -538,6 +543,6 @@ class TestLuckRank:
             b = random_ga_matrix(rng, QQ, names, s, t_)
             c = random_ga_matrix(rng, QQ, names, r, t_)
             rka, rkb = luck_rank(a, q), luck_rank(b, q)
-            assert luck_rank(a * b, q) <= min(rka, rkb)
+            assert luck_rank(ga_matmul(a, b), q) <= min(rka, rkb)
             assert luck_rank(ga_block_diag(a, b), q) == rka + rkb
             assert luck_rank(ga_block_triangular(a, c, b), q) >= rka + rkb

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l2approx.exactalg import NumberField, QQ, ScaledMatrix, StructuralError
-from l2approx.groupcore import (GroupAlgebraElement, GroupAlgebraMatrix, GroupPresentation,
-                                IDENTITY_WORD, Word, free_reduce, word_from_string)
+from l2approx.groupcore import (GroupAlgebraMatrix, GroupPresentation, IDENTITY_WORD, Word,
+                                free_reduce, word_from_string)
 from l2approx.repweights import (ParityError, RepAssignment, central_character_value,
                                  evaluate, sym_power, validate_weight, weight_dim,
                                  weight_rep)
@@ -158,15 +158,10 @@ class TestCentralCharacter:
     def test_all_identity(self):
         assert central_character_value((3, 5), (1, 1)) == 1
 
-    def test_matrix_inputs(self):
-        plus = ScaledMatrix.from_rows(QQ, [[1, 0], [0, 1]])
-        minus = ScaledMatrix.from_rows(QQ, [[-1, 0], [0, -1]])
-        assert central_character_value((3, 2), (minus, minus)) == -1
-        assert central_character_value((3, 2), (plus, minus)) == 1
-
-    def test_non_central_rejected(self):
-        with pytest.raises(ValueError):
-            central_character_value((2,), (ScaledMatrix.from_rows(QQ, [[1, 1], [0, 1]]),))
+    def test_non_sign_rejected(self):
+        for bad in (0, 2, -2):
+            with pytest.raises(ValueError, match=r"must be \+1 or -1"):
+                central_character_value((2, 3), (1, bad))
 
     def test_scalar_action_of_central_elements(self):
         rng = random.Random(16)
@@ -259,7 +254,7 @@ class TestEvaluate:
             images = [dense(weight_rep(tup, lam)) for tup in rep.images]
             ident = DenseMatrix.identity(QW, weight_dim(lam))
             for j, img in enumerate(images):
-                inv = dense(evaluate(GroupAlgebraElement.from_terms(QW, [(Word(((j, -1),)), 1)]),
+                inv = dense(evaluate(GroupAlgebraMatrix.single(QW, {Word(((j, -1),)): 1}),
                                      rep, lam))
                 assert inv * img == ident
                 assert img * inv == ident
@@ -269,7 +264,7 @@ class TestEvaluate:
         rep = two_factor_rep()
         lam = (2, 1)
         images = [dense(weight_rep(tup, lam)) for tup in rep.images]
-        inverses = [dense(evaluate(GroupAlgebraElement.from_terms(QW, [(Word(((j, -1),)), 1)]),
+        inverses = [dense(evaluate(GroupAlgebraMatrix.single(QW, {Word(((j, -1),)): 1}),
                                     rep, lam))
                     for j in range(len(images))]
         for _ in range(15):
@@ -278,19 +273,18 @@ class TestEvaluate:
             product = DenseMatrix.identity(QW, weight_dim(lam))
             for idx, exp in w.letters:
                 product = product * (images[idx] if exp == 1 else inverses[idx])
-            assert dense(evaluate(GroupAlgebraElement.from_terms(QW, [(w, 1)]), rep, lam)) == product
+            assert dense(evaluate(GroupAlgebraMatrix.single(QW, {w: 1}), rep, lam)) == product
 
     def test_matrix_blocks_are_entry_images(self):
         rep = two_factor_rep()
         lam = (1, 1)
         names = ("a", "b")
-        x = GroupAlgebraElement.from_terms(QW, [(word_from_string("aB", names), 2),
-                                                (IDENTITY_WORD, -1)])
-        y = GroupAlgebraElement.from_terms(QW, [(word_from_string("ba", names), QW.gen())])
+        x = {word_from_string("aB", names): 2, IDENTITY_WORD: -1}
+        y = {word_from_string("ba", names): QW.gen()}
         out = dense(evaluate(GroupAlgebraMatrix.from_rows(QW, [[x, y]]), rep, lam))
         d = weight_dim(lam)
         assert (out.rows, out.cols) == (d, 2 * d)
         for k, cell in enumerate((x, y)):
-            block = dense(evaluate(cell, rep, lam))
+            block = dense(evaluate(GroupAlgebraMatrix.single(QW, cell), rep, lam))
             assert all(out.entry(i, k * d + j) == block.entry(i, j)
                        for i in range(d) for j in range(d))
