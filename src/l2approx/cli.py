@@ -7,9 +7,10 @@ CSV schema (all modes):
 Rows are emitted in schedule order and runs are byte-deterministic for a
 fixed configuration (random matrix sources require an explicit seed).  In
 homology mode each weight produces three rows tagged homology:h0, homology:h1
-and homology:h2.  In luck and harris modes the lambda column carries the
-level and min_lambda carries the quotient index.  Exact fractions are always
-emitted alongside decimals; the decimals are presentation-only.
+and homology:h2.  In luck mode lambda is the modulus m of (Z/m)^g, min_lambda
+is empty and dim_w is the quotient order |Q|; in harris mode lambda is the
+level, min_lambda the quotient index and dim_w is empty.  Exact fractions are
+always emitted alongside decimals; the decimals are presentation-only.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ CHOICE_FIELDS = {
     "matrix": {"file": ("matrix_file",), "random": ("rows", "cols", "word_len", "seed")},
     "element": {"random": ("seed", "word_len")},
 }
+# the fields of MODE_FIELDS each mode cannot run without, checked before its runner
+REQUIRED_FIELDS = {"homology": ("weights",), "rank": ("weights",),
+                   "limit": ("weights", "degree"), "luck": ("quotients",),
+                   "harris": ("p", "levels")}
 MODES = tuple(MODE_FIELDS)
 MATRIX_SOURCES = ("fox-jacobian", "boundary-stack", "file", "random")
 HARRIS_ELEMENTS = ("unipotent", "diagonal", "random")
@@ -299,8 +304,6 @@ def _build_matrix(cfg: ExperimentConfig, entry: census.CensusEntry) -> GroupAlge
 
 
 def _schedule(cfg: ExperimentConfig, entry: census.CensusEntry) -> tuple[WeightVector, ...]:
-    if not cfg.weights:
-        raise ConfigError("this mode needs --weights START:END:STEP")
     ks = _parse_weights(cfg.weights)
     direction = _parse_direction(cfg.direction, entry.rep.n)
     return limitlab.weight_schedule(direction, ks, rep=entry.rep)
@@ -315,8 +318,12 @@ def _parse_target(spec: str) -> Optional[Fraction]:
         raise ConfigError(f"--target must be a rational such as 1/2, got {spec!r}") from None
 
 
+def _error(value, target: Optional[Fraction]) -> Optional[Fraction]:
+    return None if target is None else abs(value - target)
+
+
 # ---------------------------------------------------------------------------
-# modes
+# modes: a runner returns (rows, summary lines); a row is _csv_row's arguments
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = "mode,entry,lambda,min_lambda,dim_w,value_num,value_den,value_dec,target,error_dec"
@@ -334,90 +341,74 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[str, str]:
                     read.difference_update(names)
     unread = [f.name for f in dc_fields(cfg) if getattr(cfg, f.name) != f.default
               and f.name not in read]
-    if unread:
-        raise ConfigError(f"{cfg.mode} mode does not read "
-                          + ", ".join("--" + name.replace("_", "-") for name in unread))
+    missing = [name for name in REQUIRED_FIELDS[cfg.mode] if getattr(cfg, name) in (None, "")]
+    for problem, names in (("does not read", unread), ("needs", missing)):
+        if names:
+            raise ConfigError(f"{cfg.mode} mode {problem} "
+                              + ", ".join("--" + name.replace("_", "-") for name in names))
     for flag, value, least in (("--rows", cfg.rows, 1), ("--cols", cfg.cols, 1),
                                ("--word-len", cfg.word_len, 0)):
         if value is not None and value < least:
             raise ConfigError(f"{flag} must be at least {least}, got {value}")
-    target = _parse_target(cfg.target)
-    if cfg.mode == "homology":
-        return _run_homology(cfg)
-    if cfg.mode == "rank":
-        return _run_rank(cfg, target)
-    if cfg.mode == "limit":
-        return _run_limit(cfg, target)
-    if cfg.mode == "luck":
-        return _run_luck(cfg, target)
-    return _run_harris(cfg, target)
+    rows, summary = _RUNNERS[cfg.mode](cfg, _parse_target(cfg.target))
+    return ("\n".join([CSV_HEADER] + [_csv_row(*row) for row in rows]) + "\n",
+            "\n".join([f"mode: {cfg.mode}"] + summary) + "\n")
 
 
-def _run_homology(cfg: ExperimentConfig) -> tuple[str, str]:
+def _run_homology(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[list, list[str]]:
     entry = _resolve_entry(cfg)
     sched = _schedule(cfg, entry)
-    lines = [CSV_HEADER]
-    summary = [f"mode: homology", f"entry: {entry.name}",
+    rows = []
+    summary = [f"entry: {entry.name}",
                f"h2 interpretation: {'group homology (aspherical)' if entry.aspherical else '2-complex homology'}"]
     for lam in sched:
         rpt = foxhomology.homology_dims(entry.presentation, entry.rep, lam)
         expected = entry.expected_dims(lam)
         for i, h in enumerate(rpt.dims()):
             tgt = None if expected is None else expected[i]
-            lines.append(_csv_row(f"homology:h{i}", entry.name, _fmt_lambda(lam), min(lam),
-                                  rpt.d, h, tgt, None if tgt is None else abs(h - tgt)))
+            rows.append((f"homology:h{i}", entry.name, _fmt_lambda(lam), min(lam), rpt.d, h, tgt,
+                         _error(h, tgt)))
         summary.append(f"lambda={_fmt_lambda(lam)} d={rpt.d} dims={rpt.dims()} "
                        f"rank_j={rpt.rank_j} rank_d={rpt.rank_d}"
                        + ("" if expected is None else f" expected={expected}"))
-    return "\n".join(lines) + "\n", "\n".join(summary) + "\n"
+    return rows, summary
 
 
-def _run_rank(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[str, str]:
+def _run_rank(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[list, list[str]]:
     entry = _resolve_entry(cfg)
     sched = _schedule(cfg, entry)
     a = _build_matrix(cfg, entry)
-    lines = [CSV_HEADER]
-    summary = [f"mode: rank", f"entry: {entry.name}",
+    rows = []
+    summary = [f"entry: {entry.name}",
                f"matrix: {cfg.matrix or 'boundary-stack'} ({a.rows}x{a.cols})"]
-    pts = []
     for lam in sched:
         v = rankfun.sylvester_rank(a, entry.rep, lam)
-        lines.append(_csv_row("rank", entry.name, _fmt_lambda(lam), min(lam), weight_dim(lam),
-                              v, target, None if target is None else abs(v - target)))
+        rows.append(("rank", entry.name, _fmt_lambda(lam), min(lam), weight_dim(lam), v, target,
+                     _error(v, target)))
         summary.append(f"lambda={_fmt_lambda(lam)} rank={v} ({_dec(v)})")
-        pts.append((min(lam), v))
-    if len(pts) >= limitlab.MIN_FIT_POINTS:
+    if len(rows) >= limitlab.MIN_FIT_POINTS:
         try:
-            fit = limitlab.convergence_fit(pts, target=target, lams=sched)
+            fit = limitlab.convergence_fit([(r[3], r[5]) for r in rows], target=target, lams=sched)
             summary.append("fit:")
             summary.extend("  " + ln for ln in fit.summary().splitlines())
         except ValueError as e:
             summary.append(f"fit: skipped ({e})")
-    return "\n".join(lines) + "\n", "\n".join(summary) + "\n"
+    return rows, summary
 
 
-def _run_limit(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[str, str]:
+def _run_limit(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[list, list[str]]:
     entry = _resolve_entry(cfg)
-    if cfg.degree is None:
-        raise ConfigError("limit mode needs --degree 0|1|2")
     sched = _schedule(cfg, entry)
     if target is None and entry.targets is not None:
         target = entry.targets[cfg.degree]
-    rpt = limitlab.betti_estimate(entry.presentation, entry.rep, sched, cfg.degree,
-                                  target=target)
-    lines = [CSV_HEADER]
-    for pt in rpt.points:
-        lines.append(_csv_row("limit", entry.name, _fmt_lambda(pt.lam), pt.min_lambda,
-                              weight_dim(pt.lam), pt.value, target, pt.error))
-    summary = [f"mode: limit", f"entry: {entry.name}", f"degree: {cfg.degree}"]
-    summary.extend(rpt.summary().splitlines())
-    return "\n".join(lines) + "\n", "\n".join(summary) + "\n"
+    rpt = limitlab.betti_estimate(entry.presentation, entry.rep, sched, cfg.degree, target=target)
+    rows = [("limit", entry.name, _fmt_lambda(pt.lam), pt.min_lambda, weight_dim(pt.lam),
+             pt.value, target, pt.error) for pt in rpt.points]
+    return rows, [f"entry: {entry.name}", f"degree: {cfg.degree}", *rpt.summary().splitlines()]
 
 
-def _run_luck(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[str, str]:
+def _run_luck(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[list, list[str]]:
     entry = _resolve_entry(cfg)
-    if not cfg.quotients:
-        raise ConfigError("luck mode needs --quotients m1,m2,... (cyclic power moduli)")
     try:
         moduli = [int(x) for x in cfg.quotients.split(",")]
     except ValueError:
@@ -427,59 +418,51 @@ def _run_luck(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[str, s
     if any(a >= b for a, b in zip(moduli, moduli[1:])):
         raise ConfigError(f"--quotients must be strictly increasing, got {cfg.quotients!r}")
     a = _build_matrix(cfg, entry)
+    # every quotient map, and so every relator check, before the first rank
     chain = [rankfun.cyclic_power_quotient(entry.presentation, m) for m in moduli]
-    values = [rankfun.luck_rank(a, q) for q in chain]
-    lines = [CSV_HEADER]
-    summary = [f"mode: luck", f"entry: {entry.name}",
+    rows = []
+    summary = [f"entry: {entry.name}",
                f"matrix: {cfg.matrix or 'boundary-stack'} ({a.rows}x{a.cols})"]
-    for m, q, v in zip(moduli, chain, values):
-        lines.append(_csv_row("luck", entry.name, str(m), "", q.order, v, target,
-                              None if target is None else abs(v - target)))
+    for m, q in zip(moduli, chain):
+        v = rankfun.luck_rank(a, q)
+        rows.append(("luck", entry.name, str(m), "", q.order, v, target, _error(v, target)))
         summary.append(f"quotient={q.name} order={q.order} value={v} ({_dec(v)})"
-                       + ("" if target is None else f" error={abs(v - target)}"))
-    return "\n".join(lines) + "\n", "\n".join(summary) + "\n"
+                       + ("" if target is None else f" error={_error(v, target)}"))
+    return rows, summary
 
 
-def _run_harris(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[str, str]:
-    if cfg.p is None:
-        raise ConfigError("harris mode needs --p (an odd prime)")
-    if not cfg.levels:
-        raise ConfigError("harris mode needs --levels")
+def _run_harris(cfg: ExperimentConfig, target: Optional[Fraction]) -> tuple[list, list[str]]:
     levels = _parse_levels(cfg.levels)
     element = cfg.element or "unipotent"
-    p = cfg.p
-    if element == "unipotent":
-        pres = GroupPresentation(("t",), ())
-        images = padicharris.unipotent_element_images(p)
-        a = foxhomology.boundary_stack(pres, images[0][0].field)
-        label = "unipotent t-1"
-    elif element == "diagonal":
-        pres = GroupPresentation(("t",), ())
-        images = padicharris.diagonal_element_images(p)
-        a = foxhomology.boundary_stack(pres, images[0][0].field)
-        label = "diagonal t-1"
-    else:
+    if element == "random":
         if cfg.seed is None:
             raise ConfigError("harris element 'random' needs an explicit --seed")
         pres = GroupPresentation(("u", "l"), ())
-        images = [[ScaledMatrix.from_rows(QQ, [[1, p], [0, 1]])],
-                  [ScaledMatrix.from_rows(QQ, [[1, 0], [p, 1]])]]
+        images = [[ScaledMatrix.from_rows(QQ, [[1, cfg.p], [0, 1]])],
+                  [ScaledMatrix.from_rows(QQ, [[1, 0], [cfg.p, 1]])]]
         a = random_matrix(pres.generator_names, QQ, 1, 1,
                           3 if cfg.word_len is None else cfg.word_len, cfg.seed)
         label = f"random short-support element (seed {cfg.seed})"
+    else:
+        pres = GroupPresentation(("t",), ())
+        images = (padicharris.unipotent_element_images if element == "unipotent"
+                  else padicharris.diagonal_element_images)(cfg.p)
+        a = foxhomology.boundary_stack(pres, images[0][0].field)
+        label = f"{element} t-1"
     if target is None:
         # a is 1x1; known limit: 1 for a nonzero element, 0 for the zero element
         target = Fraction(1 if a.entries[0] else 0)
-    rows = padicharris.harris_sequence(a, pres, images, p, levels, target=target)
-    lines = [CSV_HEADER]
-    summary = [f"mode: harris", f"p: {p}", f"element: {label}",
+    seq = padicharris.harris_sequence(a, pres, images, cfg.p, levels, target=target)
+    rows = [("harris", element, str(r.level), r.index, "", r.value, target, r.error) for r in seq]
+    summary = [f"p: {cfg.p}", f"element: {label}",
                "level  index  value  envelope=index^(-1/3n)  error"]
-    for r in rows:
-        lines.append(_csv_row("harris", element, str(r.level), r.index, "", r.value, target,
-                              r.error))
-        summary.append(f"{r.level}  {r.index}  {r.value}  {r.envelope}  "
-                       f"{'' if r.error is None else r.error}")
-    return "\n".join(lines) + "\n", "\n".join(summary) + "\n"
+    summary.extend(f"{r.level}  {r.index}  {r.value}  {r.envelope}  "
+                   f"{'' if r.error is None else r.error}" for r in seq)
+    return rows, summary
+
+
+_RUNNERS = {"homology": _run_homology, "rank": _run_rank, "limit": _run_limit,
+            "luck": _run_luck, "harris": _run_harris}
 
 
 # ---------------------------------------------------------------------------

@@ -165,13 +165,15 @@ def central_character_value(lam: Sequence[int], z: Sequence[int]) -> int:
     lam = validate_weight(lam)
     if len(z) != len(lam):
         raise StructuralError("central tuple length differs from weight length")
-    value = 1
-    for l, sign in zip(lam, z):
-        if sign not in (1, -1):
-            raise ValueError("central entries must be +1 or -1 (for +Id / -Id)")
-        if sign == -1 and l % 2 == 1:
-            value = -value
-    return value
+    if any(sign not in (1, -1) for sign in z):
+        raise ValueError("central entries must be +1 or -1 (for +Id / -Id)")
+    return (-1) ** len(_odd_minus_factors(lam, z))
+
+
+def _odd_minus_factors(lam: WeightVector, signs: Sequence[int]) -> list[int]:
+    """The factors j where signs[j] = -1 (a -Identity) meets an odd weight,
+    so that the factor acts by -1 on Sym^lam[j]."""
+    return [j for j, (l, sign) in enumerate(zip(lam, signs)) if sign == -1 and l % 2 == 1]
 
 
 @dataclass(frozen=True)
@@ -256,15 +258,17 @@ class RepAssignment:
         if len(lam) != self.n:
             raise StructuralError(f"weight has {len(lam)} entries for {self.n} factors")
         for rk, row in enumerate(self.relator_signs):
-            if central_character_value(lam, row) != 1:
-                bad = next(j for j in range(self.n) if row[j] == -1 and lam[j] % 2 == 1)
+            # a relator acts by the product of its factors' signs
+            bad = _odd_minus_factors(lam, row)
+            if len(bad) % 2:
                 raise ParityError(
-                    f"weight {lam} inadmissible: relator {rk} acts by -1 (factor {bad})", bad)
+                    f"weight {lam} inadmissible: relator {rk} acts by -1 (factor {bad[0]})", bad[0])
         if central and self.central_signs is not None:
-            for j, s in enumerate(self.central_signs):
-                if s == -1 and lam[j] % 2 == 1:
-                    raise ParityError(
-                        f"weight {lam} inadmissible: central involution acts by -1 in factor {j}", j)
+            # the central involution must act by +1 in every factor
+            bad = _odd_minus_factors(lam, self.central_signs)
+            if bad:
+                raise ParityError(f"weight {lam} inadmissible: central involution acts by -1 "
+                                  f"in factor {bad[0]}", bad[0])
         return lam
 
     def is_admissible(self, lam: Sequence[int], central: bool = True) -> bool:

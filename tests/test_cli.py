@@ -224,6 +224,30 @@ class TestErrors:
         assert err == "error: ConfigError: --quotients must be strictly increasing, got '4,2,4'\n"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("mode, given, missing", [
+        ("homology", ["--entry", "figure-eight"], ["--weights"]),
+        ("rank", ["--entry", "figure-eight", "--matrix", "fox-jacobian"], ["--weights"]),
+        ("limit", ["--entry", "sanov-f2", "--degree", "1"], ["--weights"]),
+        ("limit", ["--entry", "sanov-f2", "--weights", "1:4"], ["--degree"]),
+        ("luck", ["--entry", "z-unipotent"], ["--quotients"]),
+        ("harris", ["--levels", "1:2"], ["--p"]),
+        ("harris", ["--p", "3"], ["--levels"]),
+        ("harris", ["--element", "diagonal"], ["--p", "--levels"])],
+        ids=["homology-weights", "rank-weights", "limit-weights", "limit-degree",
+             "luck-quotients", "harris-p", "harris-levels", "harris-p-levels"])
+    def test_missing_required_flag_is_named(self, tmp_path, capsys, mode, given, missing):
+        out = tmp_path / "x.csv"
+        assert main(["--mode", mode] + given + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: ConfigError: {mode} mode needs {', '.join(missing)}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_mode_tables_share_their_modes(self):
+        assert list(cli.MODE_FIELDS) == list(cli.REQUIRED_FIELDS) == list(cli._RUNNERS) == \
+            list(cli.MODES)
+        for mode, names in cli.REQUIRED_FIELDS.items():
+            assert set(names) <= set(cli.MODE_FIELDS[mode]), mode
 
     @pytest.mark.parametrize("pres, rep, matrix, bad", [
         ("targets: 0 1/0 0\n", "", "t - 1", "e.pres"),
